@@ -83,43 +83,16 @@ def _build_experiment_config(args):
     dataset_id = args.dataset or file_values.get("dataset")
     if dataset_id is None:
         raise ConfigError("no dataset given (use --dataset or a config file)")
-    overrides = {}
-    for file_key, cfg_key in (
-        ("lobules", "lobules"),
-        ("epochs", "epochs"),
-        ("agents", "agents"),
-        ("k_folds", "k_folds"),
-        ("seed", "seed"),
-        ("variant", "variant"),
-        ("standardize", "standardize"),
-        ("lda_dims", "lda_dims"),
-        ("subsample", "subsample"),
-    ):
-        if file_key in file_values:
-            overrides[cfg_key] = file_values[file_key]
-    for arg_name, cfg_key in (
-        ("lobules", "lobules"),
-        ("epochs", "epochs"),
-        ("agents", "agents"),
-        ("folds", "k_folds"),
-        ("seed", "seed"),
-        ("variant", "variant"),
-        ("lda_dims", "lda_dims"),
-        ("subsample", "subsample"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[cfg_key] = value
+    overrides = {key: value for key, value in file_values.items() if key != "dataset"}
+    for key in _CONFIG_KEYS:
+        value = getattr(args, "folds" if key == "k_folds" else key, None)
+        if key != "dataset" and value is not None:
+            overrides[key] = value
     if getattr(args, "no_standardize", False):
         overrides["standardize"] = False
     if getattr(args, "full", False):
         overrides["subsample"] = None
-    try:
-        return experiments.default_config(dataset_id, **overrides)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return experiments.default_config(dataset_id, **overrides)
 
 
 def _add_common_experiment_flags(parser):

@@ -20,6 +20,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"agents must be >= 2, got {self.agents}")
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in model.VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.lda_dims is not None and self.lda_dims < 1:
@@ -219,12 +222,6 @@ def run_fold(cfg, x, y, n_classes, assignments, fold):
     variant_model = build_variant_model(cfg, x_train.shape[1], n_classes, init_stream)
     y_train_onehot = data.one_hot(train_view.y, n_classes)
 
-    def training_objective(vec):
-        params = model.embed_trainable(vec, variant_model)
-        return metrics.log_loss(
-            y_train_onehot, model.forward(x_train, params, cfg.variant)
-        )
-
     opt_cfg = OptimizerConfig(
         epochs=cfg.epochs,
         agents=cfg.agents,
@@ -232,6 +229,9 @@ def run_fold(cfg, x, y, n_classes, assignments, fold):
         lower=-1.0,
         upper=1.0,
         seed=_fold_seed(cfg.seed, fold),
+    )
+    training_objective = partial(
+        model.objective, x=x_train, y_onehot=y_train_onehot, variant_model=variant_model
     )
     run = OPTIMIZERS["ifox"](training_objective, opt_cfg)
     trained = model.embed_trainable(run.best_x, variant_model)
@@ -381,16 +381,7 @@ def build_rank_table(stats_rows):
     optimizers = sorted({row["optimizer"] for row in stats_rows})
     ranks = {opt: {} for opt in optimizers}
     for fid, entries in by_function.items():
-        means = np.array([m for _, m in entries])
-        order = np.argsort(means, kind="stable")
-        position = np.empty(len(entries))
-        i = 0
-        while i < len(entries):
-            j = i
-            while j + 1 < len(entries) and means[order[j + 1]] == means[order[i]]:
-                j += 1
-            position[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-            i = j + 1
+        position = metrics.average_ranks(np.array([m for _, m in entries]))
         for idx, (opt, _) in enumerate(entries):
             ranks[opt][fid] = float(position[idx])
     totals = {opt: float(sum(ranks[opt].values())) for opt in optimizers}

@@ -117,22 +117,6 @@ class MetricReport:
         return [getattr(self, c) for c in self.COLUMNS]
 
 
-def report_from_labels(y_true, y_pred, probs, y_onehot, train_acc=None, wall_time=0.0):
-    """Assemble a MetricReport from predictions on one evaluation split."""
-    counts = confusion_counts(y_true, y_pred, y_onehot.shape[1])
-    acc = accuracy(counts)
-    gap = overfitting_gap(train_acc, acc) if train_acc is not None else 0.0
-    return MetricReport(
-        loss=log_loss(y_onehot, probs),
-        accuracy=acc,
-        precision=precision_macro(counts),
-        recall=recall_macro(counts),
-        f1=f1_macro(counts),
-        overfitting_gap=gap,
-        wall_time=wall_time,
-    )
-
-
 def _signed_rank_prep(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -147,7 +131,8 @@ def _signed_rank_prep(a, b):
     return d
 
 
-def _average_ranks(values):
+def average_ranks(values):
+    """1-based ranks of ``values``; tied values share the average of their ranks."""
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values), dtype=np.float64)
     i = 0
@@ -180,7 +165,7 @@ def wilcoxon_signed_rank(a, b):
     beyond that.
     """
     d = _signed_rank_prep(a, b)
-    ranks = _average_ranks(np.abs(d))
+    ranks = average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)

@@ -7,9 +7,11 @@ functions of the weights and are recomputed on every pass rather than stored.
 
 Phase 1 maps ``n_features`` inputs onto ``n_lobules`` internal units through
 the cofactor matrix; phase 2 maps lobule activations onto ``n_outputs`` class
-scores through the vitamin matrix. Training is gradient-free: parameters are
-flattened into one vector (cofactor row-major, then vitamin row-major) and
-handed to an optimizer that minimizes the log-loss objective.
+scores through the vitamin matrix. Training is gradient-free: the trainable
+matrices are laid out as one vector (cofactor row-major, then vitamin
+row-major, frozen matrices left out), which :func:`embed_trainable` splices
+back into full parameters; an optimizer minimizes :func:`objective`, the log
+loss at that vector.
 
 Ablation variants keep the model runnable while disabling one component:
 
@@ -71,7 +73,7 @@ def init_params(n_features, n_lobules, n_outputs, rng):
     The lobule count must satisfy ``n_features <= n_lobules < 100000``; this
     admissible range is enforced here, at the explicit-construction entry
     point, and nowhere else (the experiment pipeline builds parameters from
-    optimizer vectors via :func:`unflatten`, which only checks lengths).
+    optimizer vectors via :func:`embed_trainable`, which only checks lengths).
     """
     if n_features < 1:
         raise ParameterError(f"need at least one feature, got {n_features}")
@@ -152,36 +154,6 @@ def forward(x, params, variant="full"):
 def predict(x, params, variant="full"):
     """Predicted class index per row; ties go to the lowest index."""
     return forward(x, params, variant).argmax(axis=1)
-
-
-def flatten(params):
-    """Parameter vector: cofactor row-major, then vitamin row-major."""
-    return np.concatenate([params.cofactor.ravel(), params.vitamin.ravel()])
-
-
-def unflatten(theta, shape):
-    """Rebuild parameters from a flat vector; inverse of :func:`flatten`."""
-    f, p, o = shape
-    theta = np.asarray(theta, dtype=np.float64)
-    expected = f * p + p * o
-    if theta.ndim != 1 or theta.size != expected:
-        raise ShapeError(
-            f"parameter vector has length {theta.size}, expected {expected} "
-            f"for shape (f={f}, p={p}, o={o})"
-        )
-    return AlcParams(
-        n_features=f,
-        n_lobules=p,
-        n_outputs=o,
-        cofactor=theta[: f * p].reshape(f, p).copy(),
-        vitamin=theta[f * p :].reshape(p, o).copy(),
-    )
-
-
-def objective(theta, x, y_onehot, shape, variant="full"):
-    """Training objective: log loss of the forward pass at ``theta``."""
-    params = unflatten(theta, shape)
-    return metrics.log_loss(y_onehot, forward(x, params, variant))
 
 
 @dataclass(frozen=True)
@@ -267,14 +239,10 @@ def embed_trainable(train_vec, variant_model):
     return AlcParams(f, p, o, cofactor, vitamin)
 
 
-def extract_trainable(variant_model):
-    """Initial trainable subvector taken from the variant's parameters."""
-    parts = []
-    if "cofactor" in variant_model.trainable:
-        parts.append(variant_model.params.cofactor.ravel())
-    if "vitamin" in variant_model.trainable:
-        parts.append(variant_model.params.vitamin.ravel())
-    return np.concatenate(parts)
+def objective(vec, x, y_onehot, variant_model):
+    """Training objective: log loss of the forward pass at trainable vector ``vec``."""
+    params = embed_trainable(vec, variant_model)
+    return metrics.log_loss(y_onehot, forward(x, params, variant_model.tag))
 
 
 def save_model(params, meta, path, variant="full"):

@@ -1,26 +1,38 @@
 """Gradient-free optimizers over a box-initialized flat parameter vector.
 
-``optimize_ifox`` is the improved fox-hunting search: a single incumbent, an
-annealed step-size alpha that decays from 1 to 1/(2*epochs), and per agent
-either an additive perturbation around the incumbent (probability alpha) or a
-multiplicative contraction of the incumbent scaled by the epoch jump term.
+All three optimizers share one driver, ``_drive``: it owns the random
+stream, draws the initial population uniformly in the init box, evaluates
+every agent once per epoch (aborting on a non-finite value), keeps the
+incumbent, the per-epoch best-fitness history, the evaluation count and the
+timing. An algorithm only supplies ``step(epoch, best_x, rng)``, which returns
+the next ``(agents, dim)`` population from one block of unit draws per epoch:
 
-``optimize_fox`` is the original algorithm kept as a baseline: a static 50/50
-split between an exploitation move built from distance and jump terms and an
-exploration move scaled by the running minimum mean time. ``optimize_random``
-is plain random search with the same evaluation budget, kept as a control.
+* ``optimize_ifox`` is the improved fox-hunting search: a single incumbent, an
+  annealed step-size alpha that decays from 1 to 1/(2*epochs), and per agent
+  either an additive perturbation around the incumbent (probability alpha) or
+  a multiplicative contraction of the incumbent scaled by the epoch jump term.
+  Per epoch it draws ``dim`` times for the jump term, then an
+  ``(agents, dim + 1)`` block: beta in the first ``dim`` columns, the branch
+  draw in the last.
+* ``optimize_fox`` is the original algorithm kept as a baseline: a static
+  50/50 split between an exploitation move built from distance and jump terms
+  and an exploration move scaled by the running minimum mean time. Per epoch
+  it draws an ``(agents, 2 * dim + 2)`` block: times, branch, direction, walk.
+  Every draw is taken whichever branch fires.
+* ``optimize_random`` is plain random search with the same evaluation budget,
+  kept as a control; its step is a fresh box draw.
 
 Agents are deliberately not clamped back into the init box after moves; the
-box only shapes the initial population. All draws come from one stream per
-run in a fixed serial order (epoch-major, agent-minor), so results are fully
-determined by the config.
+box only shapes the initial population. Draws come from one stream per run in
+a fixed order (epoch-major, agent-minor within each block), so results are
+fully determined by the config.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +60,8 @@ class OptimizerConfig:
             raise ParameterError(f"dim must be >= 1, got {self.dim}")
         if not self.lower < self.upper:
             raise ParameterError(f"need lower < upper, got [{self.lower}, {self.upper}]")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -84,104 +98,76 @@ def _check_finite(value, optimizer, epoch, agent):
         )
 
 
-def _evaluate_population(objective, positions, best_x, best_f, epoch, name):
-    for a in range(positions.shape[0]):
-        value = float(objective(positions[a]))
-        _check_finite(value, name, epoch, a)
-        if value < best_f:
-            best_f = value
-            best_x = positions[a].copy()
-    return best_x, best_f
+def _drive(name, objective, cfg, step):
+    """The epoch loop shared by every optimizer (see the module docstring)."""
+    start = time.perf_counter()
+    rng = RngStream(cfg.seed)
+    positions = rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
+    best_x = None
+    best_f = math.inf
+    history = np.empty(cfg.epochs)
+    for epoch in range(cfg.epochs):
+        for a in range(cfg.agents):
+            value = float(objective(positions[a]))
+            _check_finite(value, name, epoch, a)
+            if value < best_f:
+                best_f = value
+                best_x = positions[a].copy()
+        history[epoch] = best_f
+        positions = step(epoch, best_x, rng)
+    return OptimizerRun(
+        best_x=best_x,
+        best_f=best_f,
+        history=history,
+        evals=cfg.epochs * cfg.agents,
+        wall_time=time.perf_counter() - start,
+    )
 
 
 def optimize_ifox(objective, cfg):
-    start = time.perf_counter()
-    rng = RngStream(cfg.seed)
-    positions = rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
-    best_x = None
-    best_f = math.inf
-    history = np.empty(cfg.epochs)
-    for it in range(cfg.epochs):
-        best_x, best_f = _evaluate_population(objective, positions, best_x, best_f, it, "ifox")
-        _, alpha = alpha_schedule(it, cfg.epochs)
-        t = 0.5 * rng.uniform(0.0, 1.0, cfg.dim).mean()
-        jump_term = jump(t)
-        for a in range(cfg.agents):
-            beta = rng.uniform(-alpha, alpha, cfg.dim)
-            if rng.uniform(0.0, 1.0) < alpha:
-                positions[a] = best_x + beta * alpha
-            else:
-                positions[a] = 0.5 * best_x * (beta * alpha) / jump_term
-        history[it] = best_f
-    return OptimizerRun(
-        best_x=best_x,
-        best_f=best_f,
-        history=history,
-        evals=cfg.epochs * cfg.agents,
-        wall_time=time.perf_counter() - start,
-    )
+    def step(epoch, best_x, rng):
+        _, alpha = alpha_schedule(epoch, cfg.epochs)
+        jump_term = jump(0.5 * rng.uniform(0.0, 1.0, cfg.dim).mean())
+        u = rng.uniform(0.0, 1.0, (cfg.agents, cfg.dim + 1))
+        # lo + (hi - lo) * u is the arithmetic of rng.uniform(lo, hi) itself
+        beta = -alpha + (alpha - -alpha) * u[:, : cfg.dim]
+        scaled = beta * alpha
+        explore = u[:, cfg.dim, None] < alpha
+        return np.where(explore, best_x + scaled, 0.5 * best_x * scaled / jump_term)
+
+    return _drive("ifox", objective, cfg, step)
 
 
 def optimize_fox(objective, cfg):
-    start = time.perf_counter()
-    rng = RngStream(cfg.seed)
-    positions = rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
-    best_x = None
-    best_f = math.inf
     min_time = 1.0
-    history = np.empty(cfg.epochs)
-    for it in range(cfg.epochs):
-        best_x, best_f = _evaluate_population(objective, positions, best_x, best_f, it, "fox")
+
+    def step(epoch, best_x, rng):
+        nonlocal min_time
         # 1-based iteration in the exploration adjustment term
-        adjustment = 2.0 * ((it + 1) - 1.0 / cfg.epochs)
-        epoch_mean_times = np.empty(cfg.agents)
-        for a in range(cfg.agents):
-            # Fixed draw block per agent keeps the stream layout independent
-            # of which branch fires.
-            times = rng.uniform(0.0, 1.0, cfg.dim)
-            mean_time = times.mean()
-            epoch_mean_times[a] = mean_time
-            branch = rng.uniform(0.0, 1.0)
-            direction_p = rng.uniform(0.0, 1.0)
-            walk = rng.uniform(0.0, 1.0, cfg.dim)
-            if branch < 0.5:
-                # Exploitation: sound-travel distance reduces to the incumbent
-                # itself (time cancels), then scale by jump and direction.
-                distance_fox = 0.5 * best_x
-                jump_term = 0.5 * 9.81 * 0.5 * mean_time * mean_time
-                direction = 0.18 if direction_p > 0.18 else 0.82
-                positions[a] = distance_fox * jump_term * direction
-            else:
-                positions[a] = best_x * walk * min_time * adjustment
-        min_time = min(min_time, float(epoch_mean_times.mean()))
-        history[it] = best_f
-    return OptimizerRun(
-        best_x=best_x,
-        best_f=best_f,
-        history=history,
-        evals=cfg.epochs * cfg.agents,
-        wall_time=time.perf_counter() - start,
-    )
+        adjustment = 2.0 * ((epoch + 1) - 1.0 / cfg.epochs)
+        u = rng.uniform(0.0, 1.0, (cfg.agents, 2 * cfg.dim + 2))
+        mean_time = u[:, : cfg.dim].mean(axis=1)
+        branch = u[:, cfg.dim, None]
+        direction = np.where(u[:, cfg.dim + 1] > 0.18, 0.18, 0.82)
+        walk = u[:, cfg.dim + 2 :]
+        # Exploitation: sound-travel distance reduces to the incumbent itself
+        # (time cancels), then scale by jump and direction.
+        jump_term = 0.5 * 9.81 * 0.5 * mean_time * mean_time
+        exploit = 0.5 * best_x * jump_term[:, None] * direction[:, None]
+        explore = best_x * walk * min_time * adjustment
+        min_time = min(min_time, float(mean_time.mean()))
+        return np.where(branch < 0.5, exploit, explore)
+
+    return _drive("fox", objective, cfg, step)
 
 
 def optimize_random(objective, cfg):
     """Uniform random search in the box; control with the same budget."""
-    start = time.perf_counter()
-    rng = RngStream(cfg.seed)
-    best_x = None
-    best_f = math.inf
-    history = np.empty(cfg.epochs)
-    for it in range(cfg.epochs):
-        positions = rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
-        best_x, best_f = _evaluate_population(objective, positions, best_x, best_f, it, "random")
-        history[it] = best_f
-    return OptimizerRun(
-        best_x=best_x,
-        best_f=best_f,
-        history=history,
-        evals=cfg.epochs * cfg.agents,
-        wall_time=time.perf_counter() - start,
-    )
+
+    def step(epoch, best_x, rng):
+        return rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
+
+    return _drive("random", objective, cfg, step)
 
 
 OPTIMIZERS = {
@@ -212,17 +198,7 @@ def multi_run(optimizer_id, objective, cfg, runs):
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
     optimize = OPTIMIZERS[optimizer_id]
-    results = []
-    for i in range(runs):
-        run_cfg = OptimizerConfig(
-            epochs=cfg.epochs,
-            agents=cfg.agents,
-            dim=cfg.dim,
-            lower=cfg.lower,
-            upper=cfg.upper,
-            seed=cfg.seed + i,
-        )
-        results.append(optimize(objective, run_cfg))
+    results = [optimize(objective, replace(cfg, seed=cfg.seed + i)) for i in range(runs)]
     best_values = np.array([r.best_f for r in results])
     return MultiRunStats(
         optimizer=optimizer_id,

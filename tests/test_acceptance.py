@@ -199,7 +199,10 @@ def test_criterion_7b_zero_objective_equals_log_classes():
     for o in (2, 3, 4, 7, 10):
         x = rng.normal(size=(20, 5))
         y = data.one_hot(rng.integers(0, o, 20), o)
-        value = model.objective(np.zeros(5 * 8 + 8 * o), x, y, (5, 8, o))
+        full = model.make_variant(
+            model.AlcParams(5, 8, o, np.zeros((5, 8)), np.zeros((8, o))), "full"
+        )
+        value = model.objective(np.zeros(5 * 8 + 8 * o), x, y, full)
         worst = max(worst, abs(value - math.log(o)))
     report("7b", worst <= 1e-12, f"objective(0) vs ln(classes) deviation {worst:.2e}")
 

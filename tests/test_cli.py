@@ -1,6 +1,9 @@
 import gzip
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +116,29 @@ def test_missing_dataset_exit_code(capsys):
 def test_unknown_dataset_ingest_path(tmp_path, capsys):
     code = run_cli("crossval", "--dataset", "unknown", "--out-dir", str(tmp_path))
     assert code == 2  # rejected while building the config, before ingestion
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("crossval", "--dataset", "iris"),
+        ("optbench", "--functions", "F4", "--runs", "1", "--epochs", "2", "--agents", "2"),
+    ],
+)
+def test_negative_seed_exit_code_without_traceback(tmp_path, command):
+    # A separate interpreter, so an uncaught exception would show on stderr.
+    src = str(Path(model.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "alc.cli", *command, "--seed", "-1", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "seed must be >= 0" in proc.stderr
 
 
 def test_ablate_command(tmp_path, capsys):

@@ -69,6 +69,8 @@ def test_config_validation_errors():
         default_config("nope")
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset_id="iris", lobules=10, subsample=5, k_folds=10).validate()
+    with pytest.raises(ConfigError):
+        default_config("iris", seed=-1)
 
 
 # ---------------------------------------------------------------------------

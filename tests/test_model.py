@@ -13,8 +13,8 @@ from alc.errors import (
 )
 from alc.model import (
     AlcParams,
+    embed_trainable,
     feature_embedding_map,
-    flatten,
     forward,
     init_params,
     load_model,
@@ -25,7 +25,6 @@ from alc.model import (
     phase2,
     predict,
     save_model,
-    unflatten,
 )
 from alc.numkit import RngStream
 from oracles import phase1_oracle, phase2_oracle
@@ -246,21 +245,26 @@ def test_make_variant_unknown_tag():
 
 
 # ---------------------------------------------------------------------------
-# flattening and the objective
+# the trainable vector and the objective
 
 
-def test_flatten_unflatten_round_trip():
+def full_model(f, p, o):
+    """A ``full`` variant: every entry comes from the trainable vector."""
+    return make_variant(AlcParams(f, p, o, np.zeros((f, p)), np.zeros((p, o))), "full")
+
+
+def test_embed_trainable_full_round_trip():
     params = make_params(2, 3, 2, seed=5)
-    theta = flatten(params)
+    theta = np.concatenate([params.cofactor.ravel(), params.vitamin.ravel()])
     assert theta.size == 2 * 3 + 3 * 2
-    back = unflatten(theta, (2, 3, 2))
+    back = embed_trainable(theta, full_model(2, 3, 2))
     assert np.array_equal(back.cofactor, params.cofactor)
     assert np.array_equal(back.vitamin, params.vitamin)
 
 
-def test_unflatten_length_mismatch():
+def test_embed_trainable_length_mismatch():
     with pytest.raises(ShapeError):
-        unflatten(np.zeros(11), (2, 3, 2))
+        embed_trainable(np.zeros(11), full_model(2, 3, 2))
 
 
 def test_objective_zero_vector_gives_log_class_count():
@@ -269,7 +273,7 @@ def test_objective_zero_vector_gives_log_class_count():
         x = rng.normal(size=(8, 4))
         y = np.eye(o)[rng.integers(0, o, 8)]
         theta = np.zeros(4 * 6 + 6 * o)
-        assert objective(theta, x, y, (4, 6, o)) == pytest.approx(math.log(o), abs=1e-12)
+        assert objective(theta, x, y, full_model(4, 6, o)) == pytest.approx(math.log(o), abs=1e-12)
 
 
 def test_objective_hand_built_separator_is_tiny():
@@ -280,7 +284,7 @@ def test_objective_hand_built_separator_is_tiny():
     theta = np.concatenate([cofactor.ravel(), vitamin.ravel()])
     x = np.array([[1.0], [-1.0]])
     y = np.eye(2)
-    assert objective(theta, x, y, (1, 2, 2)) < 0.01
+    assert objective(theta, x, y, full_model(1, 2, 2)) < 0.01
 
 
 def test_objective_invariant_to_uniform_score_shift():

@@ -57,6 +57,8 @@ def test_config_validation():
         OptimizerConfig(epochs=5, agents=1, dim=2, lower=-1, upper=1, seed=0)
     with pytest.raises(ParameterError):
         OptimizerConfig(epochs=5, agents=5, dim=2, lower=1, upper=1, seed=0)
+    with pytest.raises(ParameterError):
+        OptimizerConfig(epochs=5, agents=5, dim=2, lower=-1, upper=1, seed=-1)
 
 
 def test_ifox_sphere_converges():
