@@ -1,70 +1,30 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment battery and write reports under out/.
 
-Covers the three bundled datasets, the ablation table, and the optimizer
-benchmark. The two fetchable datasets are included automatically when their
+Each block is one ``alc`` command: ``crossval`` on the three bundled
+datasets, ``ablate`` on breast_cancer, and ``optbench`` over the function
+suite. The two fetchable datasets are included automatically when their
 files are already in the local cache (``alc fetch voice_gender``,
-``alc fetch mnist``).
+``alc fetch mnist``). The battery stops at the first command that fails and
+exits with its code.
 """
 
 import argparse
 import sys
-import time
-from pathlib import Path
 
-from alc import data
-from alc.experiments import (
-    default_config,
-    run_crossval,
-    run_optbench,
-    write_ablation_reports,
-    write_crossval_reports,
-    write_optbench_reports,
-)
+from alc import cli
 from alc.fetch import dataset_available
-from alc.model import VARIANTS
 
 
-def crossval_block(dataset_id, seed, out_root, jobs):
-    started = time.perf_counter()
-    cfg = default_config(dataset_id, seed=seed)
-    result = run_crossval(cfg, jobs=jobs)
-    out = write_crossval_reports(result, out_root / f"crossval_{dataset_id}")
-    m = result.mean
-    print(
-        f"{dataset_id:14s} loss={m.loss:.4f} acc={m.accuracy:.4f} "
-        f"prec={m.precision:.4f} rec={m.recall:.4f} f1={m.f1:.4f} "
-        f"gap={m.overfitting_gap:+.4f} ({time.perf_counter() - started:.1f}s) -> {out}"
-    )
-
-
-def ablation_block(seed, out_root, jobs):
-    from dataclasses import replace
-
-    dataset = data.load_dataset("breast_cancer")
-    cfg = default_config("breast_cancer", seed=seed)
-    results = {}
-    for tag in VARIANTS:
-        variant_cfg = cfg
-        if tag == "identity-vitamin":
-            variant_cfg = replace(cfg, lobules=dataset.n_classes)
-        results[tag] = run_crossval(replace(variant_cfg, variant=tag), dataset=dataset, jobs=jobs)
-        m = results[tag].mean
-        print(f"ablation {tag:17s} loss={m.loss:.4f} acc={m.accuracy:.4f} gap={m.overfitting_gap:+.4f}")
-    out = write_ablation_reports(results, out_root / "ablation_breast_cancer")
-    print(f"ablation table -> {out}")
-
-
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--runs", type=int, default=30, help="benchmark repetitions")
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--skip-optbench", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    out_root = Path(args.out_dir)
     datasets = ["iris", "wine", "breast_cancer"]
     for dataset_id in ("voice_gender", "mnist"):
         if dataset_available(dataset_id):
@@ -72,20 +32,16 @@ def main():
         else:
             print(f"note: {dataset_id} not in cache, skipping (alc fetch {dataset_id})")
 
-    for dataset_id in datasets:
-        crossval_block(dataset_id, args.seed, out_root, args.jobs)
-
-    ablation_block(args.seed, out_root, args.jobs)
-
+    common = ["--out-dir", args.out_dir, "--jobs", str(args.jobs)]
+    seeded = ["--seed", str(args.seed), *common]
+    commands = [["crossval", "--dataset", dataset_id, *seeded] for dataset_id in datasets]
+    commands.append(["ablate", "--dataset", "breast_cancer", *seeded])
     if not args.skip_optbench:
-        started = time.perf_counter()
-        result = run_optbench(runs=args.runs, seed=1, jobs=args.jobs)
-        out = write_optbench_reports(result, out_root / "optbench")
-        ranks = result.ranks
-        for opt in ranks.optimizers:
-            print(f"optbench {opt}: total rank {ranks.totals[opt]:g} avg {ranks.averages[opt]:.2f}")
-        print(f"optbench ({time.perf_counter() - started:.0f}s) -> {out}")
-
+        commands.append(["optbench", "--runs", str(args.runs), "--seed", "1", *common])
+    for command in commands:
+        code = cli.main(command)
+        if code:
+            return code
     return 0
 
 

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import cec2019, data, experiments, fetch, model
 from .errors import (
@@ -142,18 +139,10 @@ def _cmd_crossval(args):
 def _cmd_ablate(args):
     cfg = _build_experiment_config(args)
     dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
-    results = {}
-    for tag in model.VARIANTS:
-        variant_cfg = cfg
-        if tag == "identity-vitamin" and cfg.lobules != dataset.n_classes:
-            variant_cfg = replace(cfg, lobules=dataset.n_classes)
-            print(
-                f"identity-vitamin needs lobules == classes; "
-                f"using lobules={dataset.n_classes} for that row"
-            )
-        results[tag] = experiments.run_crossval(
-            replace(variant_cfg, variant=tag), dataset=dataset, jobs=args.jobs
-        )
+    results = experiments.run_ablation(cfg, dataset=dataset, jobs=args.jobs)
+    coerced = results["identity-vitamin"].config.lobules
+    if coerced != cfg.lobules:
+        print(f"identity-vitamin needs lobules == classes; using lobules={coerced} for that row")
     out = experiments.write_ablation_reports(
         results, Path(args.out_dir) / f"ablation_{cfg.dataset_id}", fmt=args.format
     )
@@ -206,13 +195,11 @@ def _cmd_fetch(args):
 def _cmd_predict(args):
     params, variant, _meta = model.load_model(args.model)
     if args.label_column:
-        dataset = data.load_csv(
+        x = data.load_csv(
             args.data, label_column=args.label_column, has_header=not args.no_header
-        )
-        x = dataset.x
+        ).x
     else:
-        dataset = None
-        x = _read_feature_csv(args.data, has_header=not args.no_header)
+        x = data.load_features(args.data, has_header=not args.no_header)
     if x.shape[1] != params.n_features:
         raise IngestError(
             f"{args.data} has {x.shape[1]} feature columns, model expects {params.n_features}"
@@ -226,24 +213,6 @@ def _cmd_predict(args):
         for line in lines:
             print(line)
     return 0
-
-
-def _read_feature_csv(path, has_header):
-    import csv as _csv
-
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        rows = [r for r in _csv.reader(fh) if r]
-    if has_header:
-        rows = rows[1:]
-    if not rows:
-        raise IngestError(f"{path} has no data rows")
-    try:
-        return np.array([[float(cell) for cell in row] for row in rows])
-    except ValueError as exc:
-        raise IngestError(f"{path}: non-numeric feature cell ({exc})") from exc
 
 
 def build_parser():

@@ -34,6 +34,18 @@ BUNDLED_DATASETS = ("iris", "wine", "breast_cancer")
 FETCHED_DATASETS = ("voice_gender", "mnist")
 DATASET_IDS = BUNDLED_DATASETS + FETCHED_DATASETS
 
+# Files each fetched dataset reads from its cache directory; mnist lists
+# (images, labels) pairs, training split first.
+CACHED_FILES = {
+    "voice_gender": ("voice.csv",),
+    "mnist": (
+        "train-images-idx3-ubyte",
+        "train-labels-idx1-ubyte",
+        "t10k-images-idx3-ubyte",
+        "t10k-labels-idx1-ubyte",
+    ),
+}
+
 
 @dataclass
 class Dataset:
@@ -88,12 +100,12 @@ def require_train(view, what):
 # ingestion
 
 
-def load_csv(path, label_column=-1, has_header=True, dataset_id=None):
-    """Read a numeric CSV with one label column.
+def _read_csv(path, has_header, label_column=None):
+    """Parse a numeric CSV into (feature names, feature matrix, label cells).
 
-    ``label_column`` is a column index (negative allowed) or, when the file
-    has a header, a column name. Label values map to 0..c-1 in order of first
-    appearance; the original names are kept on the dataset.
+    Every row must have as many cells as the first, and every cell outside
+    the label column must parse as a finite float. With ``label_column`` None
+    every column is a feature and the label cells come back empty.
     """
     path = Path(path)
     if not path.exists():
@@ -111,16 +123,17 @@ def load_csv(path, label_column=-1, has_header=True, dataset_id=None):
             raise IngestError(f"{path} has a header but no data rows")
     n_cols = len(rows[0])
 
+    label_idx = None
     if isinstance(label_column, str):
         if header is None:
             raise ParameterError("label column by name requires has_header=True")
         if label_column not in header:
             raise IngestError(f"{path}: no column named {label_column!r}")
         label_idx = header.index(label_column)
-    else:
-        label_idx = label_column % n_cols
-        if not 0 <= label_idx < n_cols:
+    elif label_column is not None:
+        if not -n_cols <= label_column < n_cols:
             raise IngestError(f"{path}: label column {label_column} out of range")
+        label_idx = label_column % n_cols
 
     feature_idx = [i for i in range(n_cols) if i != label_idx]
     feature_names = (
@@ -128,9 +141,6 @@ def load_csv(path, label_column=-1, has_header=True, dataset_id=None):
     )
 
     x = np.empty((len(rows), len(feature_idx)))
-    labels = []
-    label_map = {}
-    label_names = []
     for r, row in enumerate(rows):
         if len(row) != n_cols:
             raise IngestError(f"{path}: row {r + 1} has {len(row)} cells, expected {n_cols}")
@@ -142,22 +152,43 @@ def load_csv(path, label_column=-1, has_header=True, dataset_id=None):
                 raise IngestError(
                     f"{path}: cannot parse {cell!r} at row {r + 1}, column {i + 1}"
                 ) from None
-        raw = row[label_idx].strip()
-        if not raw:
-            raise IngestError(f"{path}: missing label at row {r + 1}")
-        if raw not in label_map:
-            label_map[raw] = len(label_map)
-            label_names.append(raw)
-        labels.append(label_map[raw])
+    # float() accepts "nan" and "inf"; one vectorized pass rejects them.
+    bad = ~np.isfinite(x)
+    if bad.any():
+        r, j = np.argwhere(bad)[0]
+        raise IngestError(
+            f"{path}: non-finite value {float(x[r, j])} at row {r + 1}, "
+            f"column {feature_idx[j] + 1}"
+        )
+    labels = [] if label_idx is None else [row[label_idx].strip() for row in rows]
+    return feature_names, x, labels
 
+
+def load_csv(path, label_column=-1, has_header=True, dataset_id=None):
+    """Read a numeric CSV with one label column.
+
+    ``label_column`` is a column index (negative allowed) or, when the file
+    has a header, a column name. Label values map to 0..c-1 in order of first
+    appearance; the original names are kept on the dataset.
+    """
+    feature_names, x, label_cells = _read_csv(path, has_header, label_column)
+    label_names = list(dict.fromkeys(label_cells))
+    if "" in label_names:
+        raise IngestError(f"{path}: missing label at row {label_cells.index('') + 1}")
+    codes = {raw: k for k, raw in enumerate(label_names)}
     return Dataset(
         x=x,
-        y=np.asarray(labels),
-        n_classes=len(label_map),
+        y=np.asarray([codes[raw] for raw in label_cells]),
+        n_classes=len(label_names),
         feature_names=feature_names,
-        id=dataset_id or path.stem,
+        id=dataset_id or Path(path).stem,
         label_names=label_names,
     )
+
+
+def load_features(path, has_header=True):
+    """Read an unlabelled numeric CSV; every column is a feature."""
+    return _read_csv(path, has_header)[1]
 
 
 def _read_exact(fh, n, path, what):
@@ -414,7 +445,7 @@ def load_dataset(dataset_id, data_dir=None):
     if dataset_id == "voice_gender":
         from .fetch import dataset_dir
 
-        path = Path(dataset_dir(data_dir, "voice_gender")) / "voice.csv"
+        path = Path(dataset_dir(data_dir, "voice_gender")) / CACHED_FILES["voice_gender"][0]
         if not path.exists():
             raise IngestError(
                 f"{path} not found; run `alc fetch voice_gender` first"
@@ -424,12 +455,9 @@ def load_dataset(dataset_id, data_dir=None):
         from .fetch import dataset_dir
 
         root = Path(dataset_dir(data_dir, "mnist"))
-        names = [
-            ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-            ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-        ]
+        files = CACHED_FILES["mnist"]
         parts = []
-        for images_name, labels_name in names:
+        for images_name, labels_name in zip(files[0::2], files[1::2]):
             images, labels = root / images_name, root / labels_name
             if not images.exists() or not labels.exists():
                 raise IngestError(

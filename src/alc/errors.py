@@ -18,7 +18,7 @@ class ParameterError(AlcError):
 
 
 class LobuleRangeError(ParameterError):
-    """Lobule count outside the admissible range for explicit initialization."""
+    """Lobule count outside the admissible range of :func:`alc.model.init_params`."""
 
 
 class VariantError(AlcError):

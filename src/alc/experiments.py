@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cec2019, data, metrics, model
-from .errors import ConfigError, ParameterError, VariantError
+from .errors import ConfigError, ParameterError
 from .numkit import RngStream
 from .optimizers import OPTIMIZERS, OptimizerConfig, multi_run
 
@@ -197,13 +198,7 @@ def _fold_seed(seed, fold):
 
 def build_variant_model(cfg, n_features, n_classes, init_stream):
     """Base parameters plus variant bookkeeping for one training cell."""
-    base = model.AlcParams(
-        n_features=n_features,
-        n_lobules=cfg.lobules,
-        n_outputs=n_classes,
-        cofactor=init_stream.uniform(-1.0, 1.0, (n_features, cfg.lobules)),
-        vitamin=init_stream.uniform(-1.0, 1.0, (cfg.lobules, n_classes)),
-    )
+    base = model.init_params(n_features, cfg.lobules, n_classes, init_stream)
     return model.make_variant(base, cfg.variant, init_stream)
 
 
@@ -267,7 +262,22 @@ def run_fold(cfg, x, y, n_classes, assignments, fold):
 
 
 def _fold_worker(args):
+    # run_fold is looked up at call time, so a rebound experiments.run_fold
+    # also runs on the serial path.
     return run_fold(*args)
+
+
+def _map_tasks(worker, tasks, jobs):
+    """``[worker(t) for t in tasks]``, spread over at most ``jobs`` processes.
+
+    The pool never has more workers than tasks or CPUs, because a forking
+    pool starts every worker at its first submit; one worker runs serially.
+    """
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [worker(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks))
 
 
 def mean_report(fold_reports):
@@ -303,11 +313,7 @@ def run_crossval(cfg, dataset=None, jobs=1):
     plan = data.stratified_kfold(y, cfg.k_folds, RngStream(cfg.seed).child(_SPLIT_STREAM))
 
     tasks = [(cfg, x, y, dataset.n_classes, plan.assignments, fold) for fold in range(cfg.k_folds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_fold_worker, tasks))
-    else:
-        outcomes = [run_fold(*t) for t in tasks]
+    outcomes = _map_tasks(_fold_worker, tasks, jobs)
 
     fold_reports = [o[0] for o in outcomes]
     histories = [o[1] for o in outcomes]
@@ -324,21 +330,18 @@ def run_crossval(cfg, dataset=None, jobs=1):
 def run_ablation(cfg, dataset=None, variants=model.VARIANTS, jobs=1):
     """Cross-validate each requested variant with identical seeds and folds.
 
-    ``identity-vitamin`` only exists for lobules == classes and raises
-    :class:`VariantError` otherwise; the CLI substitutes a coerced lobule
-    count for that row instead.
+    ``identity-vitamin`` only exists for lobules == classes, so that row runs
+    at ``lobules = n_classes``; its result's ``config`` records the count used.
     """
     cfg.validate()
     if dataset is None:
         dataset = data.load_dataset(cfg.dataset_id)
     results = {}
     for tag in variants:
-        if tag == "identity-vitamin" and cfg.lobules != dataset.n_classes:
-            raise VariantError(
-                f"identity-vitamin requires lobules == classes "
-                f"({cfg.lobules} != {dataset.n_classes})"
-            )
-        results[tag] = run_crossval(replace(cfg, variant=tag), dataset=dataset, jobs=jobs)
+        variant_cfg = replace(cfg, variant=tag)
+        if tag == "identity-vitamin":
+            variant_cfg = replace(variant_cfg, lobules=dataset.n_classes)
+        results[tag] = run_crossval(variant_cfg, dataset=dataset, jobs=jobs)
     return results
 
 
@@ -444,11 +447,7 @@ def run_optbench(
         for fid in function_ids
         for opt in optimizer_ids
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_optbench_cell, tasks))
-    else:
-        outcomes = [_optbench_cell(t) for t in tasks]
+    outcomes = _map_tasks(_optbench_cell, tasks, jobs)
     stats_rows = [o[0] for o in outcomes]
     histories = {(t[0], t[1]): o[1] for t, o in zip(tasks, outcomes)}
     for row in stats_rows:

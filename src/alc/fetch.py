@@ -18,7 +18,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import BUNDLED_DATASETS
+from .data import BUNDLED_DATASETS, CACHED_FILES
 from .errors import IntegrityError, ParameterError
 
 DEFAULT_CACHE = "~/.cache/alc"
@@ -139,15 +139,7 @@ def dataset_available(dataset_id, data_dir=None):
     """True when the dataset can be loaded locally without network access."""
     if dataset_id in BUNDLED_DATASETS:
         return True
-    if dataset_id == "voice_gender":
-        return (dataset_dir(data_dir, "voice_gender") / "voice.csv").exists()
-    if dataset_id == "mnist":
-        root = dataset_dir(data_dir, "mnist")
-        names = (
-            "train-images-idx3-ubyte",
-            "train-labels-idx1-ubyte",
-            "t10k-images-idx3-ubyte",
-            "t10k-labels-idx1-ubyte",
-        )
-        return all((root / n).exists() for n in names)
-    return False
+    root = dataset_dir(data_dir, dataset_id)
+    return dataset_id in CACHED_FILES and all(
+        (root / name).exists() for name in CACHED_FILES[dataset_id]
+    )

@@ -70,19 +70,17 @@ class AlcParams:
 def init_params(n_features, n_lobules, n_outputs, rng):
     """Fresh parameters, all entries uniform in [-1, 1].
 
-    The lobule count must satisfy ``n_features <= n_lobules < 100000``; this
-    admissible range is enforced here, at the explicit-construction entry
-    point, and nowhere else (the experiment pipeline builds parameters from
-    optimizer vectors via :func:`embed_trainable`, which only checks lengths).
+    The lobule count must satisfy ``1 <= n_lobules < 100000``; fewer lobules
+    than features is allowed (breast_cancer runs 30 features on 10 lobules).
+    The experiment pipeline draws every training cell's parameters here.
     """
     if n_features < 1:
         raise ParameterError(f"need at least one feature, got {n_features}")
     if n_outputs < 2:
         raise ParameterError(f"need at least two output classes, got {n_outputs}")
-    if not n_features <= n_lobules < MAX_LOBULES:
+    if not 1 <= n_lobules < MAX_LOBULES:
         raise LobuleRangeError(
-            f"lobule count {n_lobules} outside admissible range "
-            f"[{n_features}, {MAX_LOBULES}) for {n_features} features"
+            f"lobule count {n_lobules} outside admissible range [1, {MAX_LOBULES})"
         )
     return AlcParams(
         n_features=n_features,

@@ -202,6 +202,23 @@ def test_predict_feature_count_mismatch(tmp_path, capsys):
     assert run_cli("predict", "--model", str(model_path), "--data", str(csv_path)) == 3
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("labelled", [False, True])
+def test_predict_rejects_non_finite_cells(tmp_path, capsys, cell, labelled):
+    params = model.AlcParams(2, 3, 2, np.zeros((2, 3)), np.zeros((3, 2)))
+    model_path = tmp_path / "m.json"
+    model.save_model(params, {"seed": 0, "epochs": 1, "agents": 2, "dataset_id": "x"}, model_path)
+    csv_path = tmp_path / "f.csv"
+    if labelled:
+        csv_path.write_text(f"a,b,label\n1,2,x\n{cell},4,y\n")
+        extra = ["--label-column", "label"]
+    else:
+        csv_path.write_text(f"a,b\n1,2\n{cell},4\n")
+        extra = []
+    assert run_cli("predict", "--model", str(model_path), "--data", str(csv_path), *extra) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_predict_bad_model_file(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{}")
@@ -324,3 +341,44 @@ def test_mnist_pipeline_end_to_end_on_synthetic_digits(tmp_path, monkeypatch):
     assert cfg.lda_dims == 9
     assert result.models[0].n_features == 9
     assert len(result.folds) == 3
+
+
+# ---------------------------------------------------------------------------
+# experiment battery script
+
+
+def test_reproduce_results_drives_the_cli(tmp_path, monkeypatch):
+    import importlib.util
+
+    from alc import cli
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+    spec = importlib.util.spec_from_file_location("reproduce_results", script)
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    monkeypatch.setenv("ALC_DATA_DIR", str(tmp_path))
+    (tmp_path / "voice_gender").mkdir()
+    (tmp_path / "voice_gender" / "voice.csv").write_text("")
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+
+    assert battery.main(["--seed", "7", "--runs", "3", "--out-dir", "res", "--jobs", "2"]) == 0
+    seeded = ["--seed", "7", "--out-dir", "res", "--jobs", "2"]
+    assert calls == [
+        ["crossval", "--dataset", "iris", *seeded],
+        ["crossval", "--dataset", "wine", *seeded],
+        ["crossval", "--dataset", "breast_cancer", *seeded],
+        ["crossval", "--dataset", "voice_gender", *seeded],
+        ["ablate", "--dataset", "breast_cancer", *seeded],
+        ["optbench", "--runs", "3", "--seed", "1", "--out-dir", "res", "--jobs", "2"],
+    ]
+
+    calls.clear()
+    assert battery.main(["--skip-optbench"]) == 0
+    assert [c[0] for c in calls] == ["crossval"] * 4 + ["ablate"]
+    assert calls[0] == ["crossval", "--dataset", "iris", "--seed", "42", "--out-dir", "out", "--jobs", "1"]
+
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 2)
+    calls.clear()
+    assert battery.main([]) == 2
+    assert len(calls) == 1

@@ -9,6 +9,7 @@ from alc.data import (
     lda_transform,
     load_csv,
     load_dataset,
+    load_features,
     load_idx,
     one_hot,
     require_train,
@@ -65,6 +66,14 @@ def test_load_csv_negative_label_column(tmp_path):
     assert ds.n_classes == 2
 
 
+@pytest.mark.parametrize("label_column", [3, 5, -4])
+def test_load_csv_label_column_out_of_range(tmp_path, label_column):
+    path = tmp_path / "toy.csv"
+    path.write_text("1,2,yes\n3,4,no\n")
+    with pytest.raises(IngestError, match="out of range"):
+        load_csv(path, label_column=label_column, has_header=False)
+
+
 def test_load_csv_reports_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,label\n1,oops,x\n")
@@ -89,6 +98,33 @@ def test_load_csv_unknown_label_column(tmp_path):
     path.write_text("a,b,label\n1,2,x\n")
     with pytest.raises(IngestError, match="target"):
         load_csv(path, label_column="target")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_csv_rejects_non_finite_cells(tmp_path, cell):
+    labelled = tmp_path / "labelled.csv"
+    labelled.write_text(f"a,b,label\n1,2,x\n3,{cell},y\n")
+    with pytest.raises(IngestError, match=r"labelled\.csv: non-finite .* row 2, column 2"):
+        load_csv(labelled, label_column="label")
+    unlabelled = tmp_path / "unlabelled.csv"
+    unlabelled.write_text(f"a,b\n1,2\n{cell},4\n")
+    with pytest.raises(IngestError, match=r"unlabelled\.csv: non-finite .* row 2, column 1"):
+        load_features(unlabelled)
+
+
+def test_load_features_reads_every_column(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("a,b,c\n1,2,3\n4, 5 ,6\n")
+    assert load_features(path).tolist() == [[1, 2, 3], [4, 5, 6]]
+    with pytest.raises(IngestError, match=r"cannot parse 'a' at row 1, column 1"):
+        load_features(path, has_header=False)
+
+
+def test_load_features_reports_ragged_row(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("1,2,3\n4,5\n")
+    with pytest.raises(IngestError, match="row 2 has 2 cells, expected 3"):
+        load_features(path, has_header=False)
 
 
 # ---------------------------------------------------------------------------

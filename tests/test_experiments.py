@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alc import data, model
-from alc.errors import ConfigError, ParameterError, VariantError
+from alc import data, experiments, model
+from alc.errors import ConfigError, ParameterError
 from alc.experiments import (
     DEFAULT_LOBULES,
     ExperimentConfig,
@@ -117,6 +117,36 @@ def test_crossval_parallel_folds_match_serial(iris, tiny_result):
         assert a.csv_row()[:-1] == b.csv_row()[:-1]
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs,tasks,cpus,expected",
+    [(5000, 10, 64, [10]), (5000, 10, 4, [4]), (3, 10, 64, [3]), (8, 1, 64, []), (2, 10, 1, [])],
+)
+def test_map_tasks_clamps_pool_size(monkeypatch, jobs, tasks, cpus, expected):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    RecordingPool.sizes = []
+    assert experiments._map_tasks(abs, [-t for t in range(tasks)], jobs) == list(range(tasks))
+    assert RecordingPool.sizes == expected
+
+
 def test_histories_non_increasing(tiny_result):
     for history in tiny_result.histories:
         assert (np.diff(history) <= 0).all()
@@ -162,13 +192,16 @@ def test_ablation_full_row_matches_crossval(iris, tiny_result):
     assert results["full"].mean.csv_row()[:-1] == tiny_result.mean.csv_row()[:-1]
 
 
-def test_ablation_requires_square_for_identity_vitamin(iris):
-    with pytest.raises(VariantError):
-        run_ablation(tiny_config(), dataset=iris, variants=("identity-vitamin",))
-    results = run_ablation(
-        tiny_config(lobules=3), dataset=iris, variants=("identity-vitamin",)
-    )
-    assert "identity-vitamin" in results
+def test_ablation_coerces_identity_vitamin_to_square(iris):
+    cfg = tiny_config(epochs=5)
+    results = run_ablation(cfg, dataset=iris)
+    assert list(results) == list(model.VARIANTS)
+    for tag, result in results.items():
+        assert result.config.variant == tag
+        expected = iris.n_classes if tag == "identity-vitamin" else cfg.lobules
+        assert result.config.lobules == expected
+    assert results["identity-vitamin"].config.lobules == 3
+    assert results["identity-vitamin"].models[0].vitamin.shape == (3, 3)
 
 
 def test_frozen_components_survive_training(iris):

@@ -7,8 +7,8 @@ between versions of the package. ``wall_time`` is dropped from the
 cross-validation tables because timings cannot repeat.
 
 The golden files were written by these same helpers; a deliberate change in
-results means writing new files from :func:`crossval_outputs` and
-:func:`optbench_outputs` in a commit of its own.
+results means writing new files from :func:`crossval_outputs`,
+:func:`optbench_outputs` and :func:`fox_outputs` in a commit of its own.
 """
 
 from pathlib import Path
@@ -23,6 +23,7 @@ from alc.experiments import (
     write_crossval_reports,
     write_optbench_reports,
 )
+from alc.optimizers import OptimizerConfig, optimize_fox
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,7 +65,21 @@ def optbench_outputs(out_dir):
     }
 
 
-@pytest.mark.parametrize("produce", [crossval_outputs, optbench_outputs])
+def fox_outputs(out_dir):
+    """One FOX run on a sphere centred at 0.3, from a box that excludes it.
+
+    On the suite's origin-centred functions every FOX move contracts toward
+    the optimum, so the short optbench above never tells the direction
+    constants apart; here the incumbent depends on each of them.
+    """
+    cfg = OptimizerConfig(epochs=40, agents=6, dim=4, lower=0.5, upper=2.0, seed=11)
+    run = optimize_fox(lambda v: float(((v - 0.3) ** 2).sum()), cfg)
+    lines = ["best_x," + ",".join(repr(float(v)) for v in run.best_x)]
+    lines += [f"{epoch},{float(f)!r}" for epoch, f in enumerate(run.history)]
+    return {"fox_shifted_sphere.csv": ("\n".join(lines) + "\n").encode()}
+
+
+@pytest.mark.parametrize("produce", [crossval_outputs, optbench_outputs, fox_outputs])
 def test_reports_match_golden_files(tmp_path, produce):
     for name, produced in produce(tmp_path).items():
         assert produced == (GOLDEN / name).read_bytes(), name

@@ -54,8 +54,9 @@ def test_init_params_deterministic():
 
 
 def test_init_params_lobule_range_errors():
+    assert init_params(4, 3, 3, RngStream(0)).shape == (4, 3, 3)
     with pytest.raises(LobuleRangeError, match="admissible range"):
-        init_params(4, 3, 3, RngStream(0))
+        init_params(4, 0, 3, RngStream(0))
     with pytest.raises(LobuleRangeError):
         init_params(4, 100_000, 3, RngStream(0))
     with pytest.raises(ParameterError):
