@@ -137,6 +137,8 @@ def _cmd_crossval(args):
 
 
 def _cmd_ablate(args):
+    if args.variant is not None or (args.config and "variant" in read_config_file(args.config)):
+        raise ConfigError("ablate runs every variant; remove --variant and any 'variant =' config line")
     cfg = _build_experiment_config(args)
     dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
     results = experiments.run_ablation(cfg, dataset=dataset, jobs=args.jobs)
@@ -207,7 +209,8 @@ def _cmd_predict(args):
     labels = model.predict(x, params, variant)
     lines = [str(int(label)) for label in labels]
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        with data.atomic_path(args.out) as part:
+            part.write_text("\n".join(lines) + "\n")
         print(f"wrote {len(lines)} predictions to {args.out}")
     else:
         for line in lines:

@@ -16,8 +16,11 @@ unseen until evaluation.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -191,11 +194,43 @@ def load_features(path, has_header=True):
     return _read_csv(path, has_header)[1]
 
 
+@contextmanager
+def atomic_path(path):
+    """Yield ``<path>.part`` to write; on success it replaces ``path``.
+
+    A write that fails or is interrupted leaves ``path`` as it was and removes
+    the partial file, so a later run never mistakes it for a finished one.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        yield part
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
 def _read_exact(fh, n, path, what):
     data = fh.read(n)
     if len(data) != n:
         raise IngestError(f"{path}: truncated while reading {what}")
     return data
+
+
+def _read_idx(path, magic, n_dims, what):
+    """Dims and uint8 payload of one IDX file, checked against ``magic``."""
+    with path.open("rb") as fh:
+        (found,) = struct.unpack(">I", _read_exact(fh, 4, path, "magic"))
+        if found != magic:
+            raise IngestError(f"{path}: bad {what} magic 0x{found:08x}, expected 0x{magic:08x}")
+        dims = struct.unpack(f">{n_dims}I", _read_exact(fh, 4 * n_dims, path, "dims"))
+        payload = fh.read()  # bounded by the file, not by the size the header claims
+    size = math.prod(dims)
+    if len(payload) < size:
+        raise IngestError(f"{path}: truncated while reading {what} payload")
+    if len(payload) > size:
+        raise IngestError(f"{path}: trailing bytes after payload")
+    return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path, dataset_id="idx"):
@@ -205,29 +240,10 @@ def load_idx(images_path, labels_path, dataset_id="idx"):
         if not p.exists():
             raise IngestError(f"no such file: {p}")
 
-    with images_path.open("rb") as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, images_path, "magic"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IngestError(
-                f"{images_path}: bad images magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        count, n_rows, n_cols = struct.unpack(">III", _read_exact(fh, 12, images_path, "dims"))
-        payload = _read_exact(fh, count * n_rows * n_cols, images_path, "pixel payload")
-        if fh.read(1):
-            raise IngestError(f"{images_path}: trailing bytes after payload")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, n_rows * n_cols)
-
-    with labels_path.open("rb") as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, labels_path, "magic"))
-        if magic != IDX_LABELS_MAGIC:
-            raise IngestError(
-                f"{labels_path}: bad labels magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        (label_count,) = struct.unpack(">I", _read_exact(fh, 4, labels_path, "count"))
-        label_payload = _read_exact(fh, label_count, labels_path, "label payload")
-        if fh.read(1):
-            raise IngestError(f"{labels_path}: trailing bytes after payload")
-    labels = np.frombuffer(label_payload, dtype=np.uint8).astype(np.int64)
+    (count, n_rows, n_cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "images")
+    (label_count,), label_bytes = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
+    images = pixels.reshape(count, n_rows * n_cols)
+    labels = label_bytes.astype(np.int64)
 
     if count != label_count:
         raise IngestError(
@@ -249,14 +265,14 @@ def write_idx_images(path, images):
     images = np.asarray(images, dtype=np.uint8)
     if images.ndim != 3:
         raise ParameterError(f"images must be 3-D (count, rows, cols), got {images.shape}")
-    with Path(path).open("wb") as fh:
+    with atomic_path(path) as part, part.open("wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
         fh.write(images.tobytes())
 
 
 def write_idx_labels(path, labels):
     labels = np.asarray(labels, dtype=np.uint8)
-    with Path(path).open("wb") as fh:
+    with atomic_path(path) as part, part.open("wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.size))
         fh.write(labels.tobytes())
 

@@ -20,7 +20,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -129,24 +129,11 @@ class FoldReport:
     overfitting_gap: float
     wall_time: float
 
-    COLUMNS = (
-        "fold",
-        "train_loss",
-        "train_accuracy",
-        "train_precision",
-        "train_recall",
-        "train_f1",
-        "val_loss",
-        "val_accuracy",
-        "val_precision",
-        "val_recall",
-        "val_f1",
-        "overfitting_gap",
-        "wall_time",
-    )
-
     def csv_row(self):
         return [getattr(self, c) for c in self.COLUMNS]
+
+
+FoldReport.COLUMNS = tuple(f.name for f in fields(FoldReport))  # the folds table header
 
 
 @dataclass
@@ -462,106 +449,77 @@ def run_optbench(
 # report emission
 
 
-def _write_csv(path, header, rows):
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_tables(out_dir, tables, fmt):
+    """Write each ``(stem, header, rows)`` table to ``out_dir`` as ``<stem>.<fmt>``.
+
+    ``csv`` writes the header line and then the rows; ``json`` writes the same
+    table as a list with one ``{column: value}`` record per row.
+    """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown report format {fmt!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, header, rows in tables:
+        with data.atomic_path(out / f"{stem}.{fmt}") as part, part.open("w", newline="") as fh:
+            if fmt == "csv":
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            else:
+                json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
+                fh.write("\n")
+    return out
 
 
-def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+def _history_table(stem, histories):
+    """Per-epoch incumbent fitness of each run, as a ``(run_id, epoch, best_f)`` table.
+
+    The rows are a generator, so a benchmark with many cells holds one cell's
+    rows at a time while its reports are written.
+    """
+    rows = (
+        (run_id, epoch, value)
+        for run_id, history in enumerate(histories)
+        for epoch, value in enumerate(history)
+    )
+    return stem, ("run_id", "epoch", "best_f"), rows
 
 
 def write_crossval_reports(result, out_dir, fmt="csv"):
     """Emit folds, mean, per-epoch history, and the best fold's model."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    fold_rows = [fr.csv_row() for fr in result.folds]
-    mean_row = result.mean.csv_row()
-    if fmt == "csv":
-        _write_csv(out / "folds.csv", FoldReport.COLUMNS, fold_rows)
-        _write_csv(out / "mean.csv", metrics.MetricReport.COLUMNS, [mean_row])
-        history_rows = [
-            (fold, epoch, value)
-            for fold, history in enumerate(result.histories)
-            for epoch, value in enumerate(history)
-        ]
-        _write_csv(out / "history.csv", ("run_id", "epoch", "best_f"), history_rows)
-    elif fmt == "json":
-        _write_json(
-            out / "folds.json",
-            [dict(zip(FoldReport.COLUMNS, row)) for row in fold_rows],
-        )
-        _write_json(out / "mean.json", dict(zip(metrics.MetricReport.COLUMNS, mean_row)))
-        _write_json(
-            out / "history.json",
-            {str(fold): list(map(float, h)) for fold, h in enumerate(result.histories)},
-        )
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
-
+    tables = [
+        ("folds", FoldReport.COLUMNS, [fr.csv_row() for fr in result.folds]),
+        ("mean", metrics.MetricReport.COLUMNS, [result.mean.csv_row()]),
+        _history_table("history", result.histories),
+    ]
+    out = _write_tables(out_dir, tables, fmt)
     cfg = result.config
-    model.save_model(
-        result.models[result.best_fold],
-        {
-            "seed": cfg.seed,
-            "epochs": cfg.epochs,
-            "agents": cfg.agents,
-            "dataset_id": cfg.dataset_id,
-        },
-        out / "model.json",
-        variant=cfg.variant,
-    )
+    # save_model stores only seed, epochs, agents and dataset_id from the config.
+    model.save_model(result.models[result.best_fold], vars(cfg), out / "model.json", variant=cfg.variant)
     return out
 
 
 def write_ablation_reports(results, out_dir, fmt="csv"):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = ("variant",) + metrics.MetricReport.COLUMNS
-    rows = [(tag,) + tuple(res.mean.csv_row()) for tag, res in results.items()]
-    if fmt == "csv":
-        _write_csv(out / "ablation.csv", header, rows)
-    elif fmt == "json":
-        _write_json(out / "ablation.json", [dict(zip(header, row)) for row in rows])
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
-    return out
+    """One mean row per variant, ending with the lobule count that variant ran at."""
+    header = ("variant", *metrics.MetricReport.COLUMNS, "lobules")
+    rows = [(tag, *res.mean.csv_row(), res.config.lobules) for tag, res in results.items()]
+    return _write_tables(out_dir, [("ablation", header, rows)], fmt)
 
 
 def write_optbench_reports(result, out_dir, fmt="csv"):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stats_header = ("function", "optimizer", "mean", "std", "min", "best_in_bounds")
-    stats_rows = [[row[c] for c in stats_header] for row in result.stats]
     ranks = result.ranks
-    rank_header = ("optimizer", *ranks.function_ids, "total_rank", "average_rank")
     rank_rows = [
         [opt, *(ranks.ranks[opt][fid] for fid in ranks.function_ids),
          ranks.totals[opt], ranks.averages[opt]]
         for opt in ranks.optimizers
     ]
-    if fmt == "csv":
-        _write_csv(out / "stats.csv", stats_header, stats_rows)
-        _write_csv(out / "ranks.csv", rank_header, rank_rows)
-        for (fid, opt), histories in result.histories.items():
-            rows = [
-                (run_id, epoch, value)
-                for run_id, history in enumerate(histories)
-                for epoch, value in enumerate(history)
-            ]
-            _write_csv(out / f"history_{fid}_{opt}.csv", ("run_id", "epoch", "best_f"), rows)
-    elif fmt == "json":
-        _write_json(out / "stats.json", [dict(zip(stats_header, r)) for r in stats_rows])
-        _write_json(out / "ranks.json", [dict(zip(rank_header, r)) for r in rank_rows])
-        _write_json(
-            out / "history.json",
-            {
-                f"{fid}_{opt}": [list(map(float, h)) for h in histories]
-                for (fid, opt), histories in result.histories.items()
-            },
-        )
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
-    return out
+    tables = [
+        ("stats", stats_header, [[row[c] for c in stats_header] for row in result.stats]),
+        ("ranks", ("optimizer", *ranks.function_ids, "total_rank", "average_rank"), rank_rows),
+    ]
+    tables += [
+        _history_table(f"history_{fid}_{opt}", histories)
+        for (fid, opt), histories in result.histories.items()
+    ]
+    return _write_tables(out_dir, tables, fmt)

@@ -5,7 +5,9 @@ Files land under the dataset cache directory, which defaults to
 variable. Every registry entry that carries a SHA-256 digest is verified
 after download; a mismatch removes the file and raises. Entries without a
 pinned digest (the voice CSV has no stable upstream release) print the
-computed digest so it can be recorded.
+computed digest so it can be recorded. Downloads and decompressions write to
+``<name>.part`` and take their final name only when complete, so an
+interrupted fetch is redone by the next one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import BUNDLED_DATASETS, CACHED_FILES
+from .data import BUNDLED_DATASETS, CACHED_FILES, atomic_path
 from .errors import IntegrityError, ParameterError
 
 DEFAULT_CACHE = "~/.cache/alc"
@@ -119,17 +121,17 @@ def fetch_dataset(dataset_id, dest_dir=None, registry=None, log=print):
             final_paths.append(final)
             continue
         log(f"downloading {remote.url}")
-        _download(remote.url, archive)
-        digest = sha256_of(archive)
-        if remote.sha256 is None:
-            log(f"warning: no pinned checksum for {archive.name}; got sha256 {digest}")
-        elif digest != remote.sha256:
-            archive.unlink()
-            raise IntegrityError(
-                f"{archive.name}: sha256 {digest} does not match recorded {remote.sha256}"
-            )
+        with atomic_path(archive) as part:
+            _download(remote.url, part)
+            digest = sha256_of(part)
+            if remote.sha256 is None:
+                log(f"warning: no pinned checksum for {archive.name}; got sha256 {digest}")
+            elif digest != remote.sha256:
+                raise IntegrityError(
+                    f"{archive.name}: sha256 {digest} does not match recorded {remote.sha256}"
+                )
         if remote.gzipped:
-            with gzip.open(archive, "rb") as src, final.open("wb") as out:
+            with atomic_path(final) as part, gzip.open(archive, "rb") as src, part.open("wb") as out:
                 shutil.copyfileobj(src, out)
         final_paths.append(final)
     return final_paths

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, numkit
+from . import data, metrics, numkit
 from .errors import LobuleRangeError, ParameterError, PersistenceError, ShapeError, VariantError
 
 MAX_LOBULES = 100_000
@@ -265,7 +265,8 @@ def save_model(params, meta, path, variant="full"):
             "dataset_id": meta.get("dataset_id"),
         },
     }
-    Path(path).write_text(json.dumps(doc))
+    with data.atomic_path(path) as part:
+        part.write_text(json.dumps(doc))
 
 
 def load_model(path):
@@ -291,4 +292,10 @@ def load_model(path):
         raise PersistenceError(f"model file {path} is malformed: {exc}") from exc
     if variant not in VARIANTS:
         raise PersistenceError(f"model file {path} names unknown variant {variant!r}")
+    if not (np.isfinite(cofactor).all() and np.isfinite(vitamin).all()):
+        raise PersistenceError(f"model file {path} has non-finite matrix entries")
+    if variant == "identity-vitamin" and p != o:
+        raise PersistenceError(
+            f"model file {path}: identity-vitamin needs p == o, got p={p}, o={o}"
+        )
     return AlcParams(f, p, o, cofactor, vitamin), variant, meta

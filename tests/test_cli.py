@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alc import model
+from alc import fetch, model
 from alc.cli import main, read_config_file
 from alc.data import load_dataset, write_idx_images, write_idx_labels
 from alc.errors import ConfigError, IntegrityError, ParameterError
@@ -153,6 +153,22 @@ def test_ablate_command(tmp_path, capsys):
     assert "identity-vitamin needs lobules == classes" in out
 
 
+@pytest.mark.parametrize("route", ["flag", "config file"])
+def test_ablate_rejects_a_variant(tmp_path, capsys, route):
+    if route == "flag":
+        extra = ["--dataset", "iris", "--variant", "phase2-only"]
+    else:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("dataset = iris\nvariant = phase2-only\n")
+        extra = ["--config", str(cfg_file)]
+    code = run_cli("ablate", *extra, "--epochs", "2", "--agents", "2", "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: ablate runs every variant" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ablation_iris").exists()
+
+
 def test_optbench_command(tmp_path, capsys):
     code = run_cli(
         "optbench", "--functions", "F4,F10", "--optimizers", "ifox,fox",
@@ -282,6 +298,27 @@ def test_fetch_skips_existing(tmp_path, capsys):
     fetch_dataset("testset", dest_dir=dest, registry=registry, log=messages.append)
     fetch_dataset("testset", dest_dir=dest, registry=registry, log=messages.append)
     assert any("already present" in m for m in messages)
+
+
+def test_fetch_interrupted_download_leaves_no_file(tmp_path, monkeypatch):
+    registry = _file_registry(tmp_path, b"label\nx\ny\n")
+    dest = tmp_path / "cache"
+    real_download = fetch._download
+
+    def broken_download(url, path):
+        path.write_bytes(b"label\nx")
+        raise ConnectionResetError("connection dropped")
+
+    monkeypatch.setattr(fetch, "_download", broken_download)
+    with pytest.raises(ConnectionResetError):
+        fetch_dataset("testset", dest_dir=dest, registry=registry, log=lambda *_: None)
+    assert list((dest / "testset").iterdir()) == []
+
+    monkeypatch.setattr(fetch, "_download", real_download)
+    messages = []
+    paths = fetch_dataset("testset", dest_dir=dest, registry=registry, log=messages.append)
+    assert any("downloading" in m for m in messages)
+    assert paths[0].read_bytes() == b"label\nx\ny\n"
 
 
 def test_fetch_unpinned_checksum_warns(tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,20 @@ def test_idx_truncated_payload(tmp_path):
     blob = images_path.read_bytes()
     images_path.write_bytes(blob[: len(blob) - 5])
     with pytest.raises(IngestError, match="truncated"):
+        load_idx(images_path, labels_path)
+    # a header claiming (2**32 - 1)**3 pixels is truncated, not an overflow
+    images_path.write_bytes(struct.pack(">IIII", 0x803, *[2**32 - 1] * 3) + bytes(8))
+    with pytest.raises(IngestError, match="truncated"):
+        load_idx(images_path, labels_path)
+
+
+def test_idx_trailing_bytes(tmp_path):
+    images_path = tmp_path / "imgs.idx"
+    labels_path = tmp_path / "lbls.idx"
+    write_idx_images(images_path, np.zeros((2, 2, 2), dtype=np.uint8))
+    write_idx_labels(labels_path, np.zeros(2, dtype=np.uint8))
+    labels_path.write_bytes(labels_path.read_bytes() + b"\x00")
+    with pytest.raises(IngestError, match="trailing bytes"):
         load_idx(images_path, labels_path)
 
 

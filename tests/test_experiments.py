@@ -1,3 +1,5 @@
+import csv
+import json
 import warnings
 from dataclasses import replace
 
@@ -192,7 +194,7 @@ def test_ablation_full_row_matches_crossval(iris, tiny_result):
     assert results["full"].mean.csv_row()[:-1] == tiny_result.mean.csv_row()[:-1]
 
 
-def test_ablation_coerces_identity_vitamin_to_square(iris):
+def test_ablation_coerces_identity_vitamin_to_square(tmp_path, iris):
     cfg = tiny_config(epochs=5)
     results = run_ablation(cfg, dataset=iris)
     assert list(results) == list(model.VARIANTS)
@@ -202,6 +204,13 @@ def test_ablation_coerces_identity_vitamin_to_square(iris):
         assert result.config.lobules == expected
     assert results["identity-vitamin"].config.lobules == 3
     assert results["identity-vitamin"].models[0].vitamin.shape == (3, 3)
+
+    # the table's trailing lobules column shows the count each row ran at
+    with open(write_ablation_reports(results, tmp_path) / "ablation.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0][-1] == "lobules"
+    lobules = {row[0]: row[-1] for row in table[1:]}
+    assert lobules == {tag: "3" if tag == "identity-vitamin" else str(cfg.lobules) for tag in results}
 
 
 def test_frozen_components_survive_training(iris):
@@ -340,6 +349,28 @@ def test_ablation_and_optbench_reports(tmp_path, iris):
     assert (out2 / "stats.csv").exists()
     assert (out2 / "ranks.csv").exists()
     assert (out2 / "history_F4_ifox.csv").exists()
+
+
+def test_json_reports_are_the_csv_tables_as_records(tmp_path, iris, tiny_result):
+    ablation = run_ablation(tiny_config(epochs=3), dataset=iris, variants=("full", "phase1-only"))
+    bench = run_optbench(function_ids=("F4", "F10"), optimizer_ids=("ifox", "fox"), runs=2, epochs=4, agents=3)
+    writers = {
+        "crossval": (write_crossval_reports, tiny_result),
+        "ablation": (write_ablation_reports, ablation),
+        "optbench": (write_optbench_reports, bench),
+    }
+    for name, (writer, result) in writers.items():
+        csv_dir = writer(result, tmp_path / name / "csv")
+        json_dir = writer(result, tmp_path / name / "json", fmt="json")
+        assert {p.stem for p in csv_dir.iterdir()} == {p.stem for p in json_dir.iterdir()}
+        for csv_path in csv_dir.glob("*.csv"):
+            with csv_path.open(newline="") as fh:
+                header, *rows = csv.reader(fh)
+            records = json.loads((json_dir / f"{csv_path.stem}.json").read_text())
+            assert isinstance(records, list) and len(records) == len(rows)
+            for record, row in zip(records, rows):
+                assert list(record) == header
+                assert [str(v) for v in record.values()] == row
 
 
 def test_mean_report_helper(tiny_result):

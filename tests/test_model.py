@@ -341,7 +341,19 @@ def test_load_model_rejects_truncated_file(tmp_path):
 
 
 def test_load_model_rejects_malformed_document(tmp_path):
+    meta = {"seed": 1, "epochs": 2, "agents": 3, "dataset_id": "x"}
+    whole = {"format_version": 1, "f": 1, "p": 2, "o": 2, "variant": "full",
+             "C": [0.5, 0.5], "V": [1.0, 0.0, 0.0, 1.0], "training_meta": meta}
+    documents = [
+        ({"format_version": 1, "f": 2, "p": 3, "o": 2, "C": [1.0]}, "malformed"),
+        ({**whole, "C": [0.5, float("nan")]}, "non-finite"),
+        ({**whole, "V": [1.0, float("inf"), 0.0, 1.0]}, "non-finite"),
+        ({**whole, "p": 1, "C": [0.5], "V": [1.0, 0.0], "variant": "identity-vitamin"}, "p == o"),
+    ]
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"format_version": 1, "f": 2, "p": 3, "o": 2, "C": [1.0]}))
-    with pytest.raises(PersistenceError):
-        load_model(path)
+    path.write_text(json.dumps(whole))
+    load_model(path)  # the well-formed base document loads
+    for doc, message in documents:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match=message):
+            load_model(path)
