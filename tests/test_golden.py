@@ -8,7 +8,8 @@ cross-validation tables because timings cannot repeat.
 
 The golden files were written by these same helpers; a deliberate change in
 results means writing new files from :func:`crossval_outputs`,
-:func:`optbench_outputs` and :func:`fox_outputs` in a commit of its own.
+:func:`ablation_outputs`, :func:`optbench_outputs` and :func:`fox_outputs` in a
+commit of its own.
 """
 
 from pathlib import Path
@@ -18,8 +19,10 @@ import pytest
 from alc import data
 from alc.experiments import (
     default_config,
+    run_ablation,
     run_crossval,
     run_optbench,
+    write_ablation_reports,
     write_crossval_reports,
     write_optbench_reports,
 )
@@ -46,6 +49,14 @@ def crossval_outputs(out_dir):
         "crossval_history.csv": (out / "history.csv").read_bytes(),
         "crossval_model.json": (out / "model.json").read_bytes(),
     }
+
+
+def ablation_outputs(out_dir):
+    """Pinned iris ablation table: one mean row for each of the five variants."""
+    cfg = default_config("iris", seed=42, epochs=60, agents=5, k_folds=3)
+    results = run_ablation(cfg, dataset=data.load_dataset("iris"))
+    out = write_ablation_reports(results, out_dir)
+    return {"ablation.csv": _drop_wall_time((out / "ablation.csv").read_bytes())}
 
 
 def optbench_outputs(out_dir):
@@ -79,7 +90,7 @@ def fox_outputs(out_dir):
     return {"fox_shifted_sphere.csv": ("\n".join(lines) + "\n").encode()}
 
 
-@pytest.mark.parametrize("produce", [crossval_outputs, optbench_outputs, fox_outputs])
+@pytest.mark.parametrize("produce", [crossval_outputs, ablation_outputs, optbench_outputs, fox_outputs])
 def test_reports_match_golden_files(tmp_path, produce):
     for name, produced in produce(tmp_path).items():
         assert produced == (GOLDEN / name).read_bytes(), name
