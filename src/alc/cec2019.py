@@ -44,22 +44,31 @@ class Transform:
 
 
 def load_transform(path, dim):
-    """Parse a transform file: shift line followed by ``dim`` rotation rows."""
+    """Parse a transform file: shift line followed by ``dim`` rotation rows.
+
+    Every row holds ``dim`` finite numbers; a row that does not is named by its line.
+    """
     rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            rows.append([float(v) for v in line.split()])
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(v) for v in line.split()]
+        except ValueError:
+            row = []  # reported below like any other bad row
+        if len(row) != dim or not all(math.isfinite(v) for v in row):
+            raise ParameterError(
+                f"transform file {path}, line {lineno}: expected {dim} finite numbers, "
+                f"got {line.strip()!r}"
+            )
+        rows.append(row)
     if len(rows) != dim + 1:
         raise ParameterError(
             f"transform file {path} has {len(rows)} rows, expected {dim + 1} "
             f"(one shift line plus {dim} rotation rows)"
         )
-    shift = np.asarray(rows[0], dtype=np.float64)
-    rotation = np.asarray(rows[1:], dtype=np.float64)
-    if shift.size != dim or rotation.shape != (dim, dim):
-        raise ParameterError(f"transform file {path} does not describe dimension {dim}")
-    return Transform(shift=shift, rotation=rotation)
+    rows = np.asarray(rows, dtype=np.float64)
+    return Transform(shift=rows[0], rotation=rows[1:])
 
 
 def _shrunk(x, rate, transform):

@@ -115,7 +115,12 @@ def _cmd_crossval(args):
     cfg = _build_experiment_config(args)
     dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
     if args.lobule_grid:
-        grid = [int(v) for v in args.lobule_grid.split(",") if v.strip()]
+        try:
+            grid = [int(v) for v in args.lobule_grid.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError(
+                f"--lobule-grid takes a comma list of integers, got {args.lobule_grid!r}"
+            ) from None
         result, rows = experiments.lobule_grid_search(cfg, grid or None, dataset=dataset, jobs=args.jobs)
         for p, acc, _ in rows:
             print(f"lobules={p}: mean validation accuracy {acc:.4f}")

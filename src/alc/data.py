@@ -260,23 +260,6 @@ def load_idx(images_path, labels_path, dataset_id="idx"):
     )
 
 
-def write_idx_images(path, images):
-    """Write a (count, rows, cols) uint8 array in IDX image layout."""
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ParameterError(f"images must be 3-D (count, rows, cols), got {images.shape}")
-    with atomic_path(path) as part, part.open("wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with atomic_path(path) as part, part.open("wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.size))
-        fh.write(labels.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # preprocessing
 

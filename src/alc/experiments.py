@@ -219,33 +219,23 @@ def run_fold(cfg, x, y, n_classes, assignments, fold):
     trained = model.embed_trainable(run.best_x, variant_model)
     wall_time = time.perf_counter() - started
 
-    probs_train = model.forward(x_train, trained, cfg.variant)
-    probs_val = model.forward(x_val, trained, cfg.variant)
-    pred_train = probs_train.argmax(axis=1)
-    pred_val = probs_val.argmax(axis=1)
-
-    counts_train = metrics.confusion_counts(train_view.y, pred_train, n_classes)
-    counts_val = metrics.confusion_counts(val_view.y, pred_val, n_classes)
-    train_acc = metrics.accuracy(counts_train)
-    val_acc = metrics.accuracy(counts_val)
-    y_val_onehot = data.one_hot(val_view.y, n_classes)
-
-    report = FoldReport(
-        fold=fold,
-        train_loss=metrics.log_loss(y_train_onehot, probs_train),
-        train_accuracy=train_acc,
-        train_precision=metrics.precision_macro(counts_train),
-        train_recall=metrics.recall_macro(counts_train),
-        train_f1=metrics.f1_macro(counts_train),
-        val_loss=metrics.log_loss(y_val_onehot, probs_val),
-        val_accuracy=val_acc,
-        val_precision=metrics.precision_macro(counts_val),
-        val_recall=metrics.recall_macro(counts_val),
-        val_f1=metrics.f1_macro(counts_val),
-        overfitting_gap=metrics.overfitting_gap(train_acc, val_acc),
-        wall_time=wall_time,
-    )
+    train = _score(train_view.y, model.forward(x_train, trained, cfg.variant), n_classes)
+    val = _score(val_view.y, model.forward(x_val, trained, cfg.variant), n_classes)
+    gap = metrics.overfitting_gap(train[1], val[1])  # train minus validation accuracy
+    report = FoldReport(fold, *train, *val, gap, wall_time)
     return report, run.history, trained
+
+
+def _score(y, probs, n_classes):
+    """``(loss, accuracy, precision, recall, f1)`` of class probabilities against labels."""
+    counts = metrics.confusion_counts(y, probs.argmax(axis=1), n_classes)
+    return (
+        metrics.log_loss(data.one_hot(y, n_classes), probs),
+        metrics.accuracy(counts),
+        metrics.precision_macro(counts),
+        metrics.recall_macro(counts),
+        metrics.f1_macro(counts),
+    )
 
 
 def _fold_worker(args):
@@ -268,16 +258,15 @@ def _map_tasks(worker, tasks, jobs):
 
 
 def mean_report(fold_reports):
-    """Validation-side mean row; every value is the arithmetic fold mean."""
-    return metrics.MetricReport(
-        loss=float(np.mean([fr.val_loss for fr in fold_reports])),
-        accuracy=float(np.mean([fr.val_accuracy for fr in fold_reports])),
-        precision=float(np.mean([fr.val_precision for fr in fold_reports])),
-        recall=float(np.mean([fr.val_recall for fr in fold_reports])),
-        f1=float(np.mean([fr.val_f1 for fr in fold_reports])),
-        overfitting_gap=float(np.mean([fr.overfitting_gap for fr in fold_reports])),
-        wall_time=float(np.mean([fr.wall_time for fr in fold_reports])),
-    )
+    """Validation-side mean row; every value is the arithmetic fold mean.
+
+    A metric with both sides in the folds table takes its ``val_`` column.
+    """
+    means = {}
+    for column in metrics.MetricReport.COLUMNS:
+        source = f"val_{column}" if f"val_{column}" in FoldReport.COLUMNS else column
+        means[column] = float(np.mean([getattr(fr, source) for fr in fold_reports]))
+    return metrics.MetricReport(**means)
 
 
 def prepare_arrays(cfg, dataset):
@@ -302,9 +291,7 @@ def run_crossval(cfg, dataset=None, jobs=1):
     tasks = [(cfg, x, y, dataset.n_classes, plan.assignments, fold) for fold in range(cfg.k_folds)]
     outcomes = _map_tasks(_fold_worker, tasks, jobs)
 
-    fold_reports = [o[0] for o in outcomes]
-    histories = [o[1] for o in outcomes]
-    models = [o[2] for o in outcomes]
+    fold_reports, histories, models = (list(column) for column in zip(*outcomes))
     return CrossvalResult(
         config=cfg,
         folds=fold_reports,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,10 +111,11 @@ class MetricReport:
     overfitting_gap: float
     wall_time: float
 
-    COLUMNS = ("loss", "accuracy", "precision", "recall", "f1", "overfitting_gap", "wall_time")
-
     def csv_row(self):
         return [getattr(self, c) for c in self.COLUMNS]
+
+
+MetricReport.COLUMNS = tuple(f.name for f in fields(MetricReport))  # the mean table header
 
 
 def _signed_rank_prep(a, b):

@@ -13,19 +13,16 @@ row-major, frozen matrices left out), which :func:`embed_trainable` splices
 back into full parameters; an optimizer minimizes :func:`objective`, the log
 loss at that vector.
 
-Ablation variants keep the model runnable while disabling one component:
-
-* ``full``            both phases, both matrices trainable
-* ``phase1-only``     phase 1 plus a frozen lobule-averaging readout
-* ``phase2-only``     phase 2 on an identity-embedded copy of the input
-* ``random-cofactor`` cofactor resampled once and frozen, vitamin trainable
-* ``identity-vitamin`` vitamin frozen to the identity (needs lobules == outputs)
+Ablation variants keep the model runnable while disabling one component.
+:data:`TRAINABLE` says which matrices each variant trains; the variant's
+other matrix is frozen, and :func:`make_variant` and :func:`forward` say what
+stands in for it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +31,16 @@ from . import data, metrics, numkit
 from .errors import LobuleRangeError, ParameterError, PersistenceError, ShapeError, VariantError
 
 MAX_LOBULES = 100_000
-VARIANTS = ("full", "phase1-only", "phase2-only", "random-cofactor", "identity-vitamin")
+
+# Trainable matrices of each ablation variant, in trainable-vector order.
+TRAINABLE = {
+    "full": ("cofactor", "vitamin"),
+    "phase1-only": ("cofactor",),  # phase 1 plus a frozen lobule-averaging readout
+    "phase2-only": ("vitamin",),  # phase 2 on an identity-embedded copy of the input
+    "random-cofactor": ("vitamin",),  # cofactor resampled once and frozen
+    "identity-vitamin": ("cofactor",),  # vitamin frozen to the identity (lobules == outputs)
+}
+VARIANTS = tuple(TRAINABLE)
 MODEL_FORMAT_VERSION = 1
 
 
@@ -86,8 +92,8 @@ def init_params(n_features, n_lobules, n_outputs, rng):
         n_features=n_features,
         n_lobules=n_lobules,
         n_outputs=n_outputs,
-        cofactor=numkit.rng_uniform(rng, -1.0, 1.0, n_features, n_lobules),
-        vitamin=numkit.rng_uniform(rng, -1.0, 1.0, n_lobules, n_outputs),
+        cofactor=rng.uniform(-1.0, 1.0, (n_features, n_lobules)),
+        vitamin=rng.uniform(-1.0, 1.0, (n_lobules, n_outputs)),
     )
 
 
@@ -138,15 +144,15 @@ def forward(x, params, variant="full"):
         raise ShapeError(
             f"input has {x.shape[1]} features, model expects {params.n_features}"
         )
-    if variant == "phase1-only":
-        activated = numkit.relu(phase1(x, params.cofactor))
-        readout = lobule_average_map(params.n_lobules, params.n_outputs)
-        return numkit.softmax_rows(numkit.matmul(activated, readout))
     if variant == "phase2-only":
-        embedded = numkit.matmul(x, feature_embedding_map(params.n_features, params.n_lobules))
-        return numkit.softmax_rows(phase2(embedded, params.vitamin))
-    activated = numkit.relu(phase1(x, params.cofactor))
-    return numkit.softmax_rows(phase2(activated, params.vitamin))
+        hidden = numkit.matmul(x, feature_embedding_map(params.n_features, params.n_lobules))
+    else:
+        hidden = numkit.relu(phase1(x, params.cofactor))
+    if variant == "phase1-only":
+        scores = numkit.matmul(hidden, lobule_average_map(params.n_lobules, params.n_outputs))
+    else:
+        scores = phase2(hidden, params.vitamin)
+    return numkit.softmax_rows(scores)
 
 
 def predict(x, params, variant="full"):
@@ -172,68 +178,44 @@ def make_variant(params, tag, rng=None):
     if tag not in VARIANTS:
         raise VariantError(f"unknown variant {tag!r}; expected one of {VARIANTS}")
     f, p, o = params.shape
-    if tag == "full":
-        return VariantModel(params, tag, ("cofactor", "vitamin"))
     if tag == "phase1-only":
         lobule_average_map(p, o)  # validate now rather than at first forward
-        return VariantModel(params, tag, ("cofactor",))
-    if tag == "phase2-only":
-        return VariantModel(params, tag, ("vitamin",))
-    if tag == "random-cofactor":
+    elif tag == "random-cofactor":
         if rng is None:
             raise ParameterError("random-cofactor needs an RngStream to resample")
-        resampled = AlcParams(
-            n_features=f,
-            n_lobules=p,
-            n_outputs=o,
-            cofactor=numkit.rng_uniform(rng, -1.0, 1.0, f, p),
-            vitamin=params.vitamin.copy(),
-        )
-        return VariantModel(resampled, tag, ("vitamin",))
-    # identity-vitamin
-    if p != o:
-        raise VariantError(
-            f"identity-vitamin requires lobules == outputs, got p={p}, o={o}"
-        )
-    fixed = AlcParams(
-        n_features=f,
-        n_lobules=p,
-        n_outputs=o,
-        cofactor=params.cofactor.copy(),
-        vitamin=np.eye(p),
-    )
-    return VariantModel(fixed, tag, ("cofactor",))
+        params = replace(params, cofactor=rng.uniform(-1.0, 1.0, (f, p)))
+    elif tag == "identity-vitamin":
+        if p != o:
+            raise VariantError(
+                f"identity-vitamin requires lobules == outputs, got p={p}, o={o}"
+            )
+        params = replace(params, vitamin=np.eye(p))
+    return VariantModel(params, tag, TRAINABLE[tag])
 
 
 def trainable_size(variant_model):
     f, p, o = variant_model.params.shape
-    size = 0
-    if "cofactor" in variant_model.trainable:
-        size += f * p
-    if "vitamin" in variant_model.trainable:
-        size += p * o
-    return size
+    trainable = variant_model.trainable
+    return ("cofactor" in trainable) * f * p + ("vitamin" in trainable) * p * o
 
 
 def embed_trainable(train_vec, variant_model):
-    """Splice a trainable subvector into full parameters, keeping frozen parts."""
-    f, p, o = variant_model.params.shape
+    """Splice a trainable subvector into full parameters, sharing the frozen parts.
+
+    Frozen matrices are read-only, so the result can share them; the trained
+    ones are copied out of ``train_vec``.
+    """
+    params, trainable = variant_model.params, variant_model.trainable
+    f, p, o = params.shape
     train_vec = np.asarray(train_vec, dtype=np.float64)
-    if train_vec.size != trainable_size(variant_model):
-        raise ShapeError(
-            f"trainable vector has length {train_vec.size}, "
-            f"expected {trainable_size(variant_model)}"
-        )
-    pos = 0
-    if "cofactor" in variant_model.trainable:
+    size = trainable_size(variant_model)
+    if train_vec.size != size:
+        raise ShapeError(f"trainable vector has length {train_vec.size}, expected {size}")
+    cofactor, vitamin = params.cofactor, params.vitamin
+    if "cofactor" in trainable:
         cofactor = train_vec[: f * p].reshape(f, p).copy()
-        pos = f * p
-    else:
-        cofactor = variant_model.params.cofactor.copy()
-    if "vitamin" in variant_model.trainable:
-        vitamin = train_vec[pos : pos + p * o].reshape(p, o).copy()
-    else:
-        vitamin = variant_model.params.vitamin.copy()
+    if "vitamin" in trainable:
+        vitamin = train_vec[size - p * o :].reshape(p, o).copy()
     return AlcParams(f, p, o, cofactor, vitamin)
 
 

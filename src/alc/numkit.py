@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ShapeError
 
 
 def as_matrix(a, name="matrix"):
@@ -81,11 +81,3 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self._key})"
 
-
-def rng_uniform(rng, lo, hi, rows, cols):
-    """Matrix of i.i.d. uniform draws in [lo, hi)."""
-    if not lo < hi:
-        raise ParameterError(f"uniform range requires lo < hi, got [{lo}, {hi})")
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    return rng.uniform(lo, hi, size=(rows, cols))

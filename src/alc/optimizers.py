@@ -76,12 +76,11 @@ class OptimizerRun:
 
 
 def alpha_schedule(it, epochs):
-    """Annealed step size for epoch ``it`` (0-based): alpha decays to alpha_min."""
+    """Annealed step size for epoch ``it`` (0-based): decays from 1 toward 1 / (2 * epochs)."""
     if not 0 <= it < epochs:
         raise ParameterError(f"epoch index {it} outside [0, {epochs})")
     alpha_min = 1.0 / (2.0 * epochs)
-    alpha = alpha_min + (1.0 - alpha_min) * (1.0 - it / epochs)
-    return alpha_min, alpha
+    return alpha_min + (1.0 - alpha_min) * (1.0 - it / epochs)
 
 
 def jump(t):
@@ -126,7 +125,7 @@ def _drive(name, objective, cfg, step):
 
 def optimize_ifox(objective, cfg):
     def step(epoch, best_x, rng):
-        _, alpha = alpha_schedule(epoch, cfg.epochs)
+        alpha = alpha_schedule(epoch, cfg.epochs)
         jump_term = jump(0.5 * rng.uniform(0.0, 1.0, cfg.dim).mean())
         u = rng.uniform(0.0, 1.0, (cfg.agents, cfg.dim + 1))
         # lo + (hi - lo) * u is the arithmetic of rng.uniform(lo, hi) itself
@@ -152,7 +151,7 @@ def optimize_fox(objective, cfg):
         walk = u[:, cfg.dim + 2 :]
         # Exploitation: sound-travel distance reduces to the incumbent itself
         # (time cancels), then scale by jump and direction.
-        jump_term = 0.5 * 9.81 * 0.5 * mean_time * mean_time
+        jump_term = GRAVITY_HALF * 0.5 * mean_time * mean_time
         exploit = 0.5 * best_x * jump_term[:, None] * direction[:, None]
         explore = best_x * walk * min_time * adjustment
         min_time = min(min_time, float(mean_time.mean()))

@@ -203,3 +203,15 @@ def test_transform_file_validation(tmp_path):
     path.write_text("1.0 2.0\n3.0 4.0\n")
     with pytest.raises(ParameterError):
         load_transform(path, 10)
+
+
+@pytest.mark.parametrize("cells", [["x"], ["nan"], ["inf"], []], ids=["x", "nan", "inf", "short"])
+def test_transform_file_names_a_bad_row_by_line(tmp_path, cells):
+    dim = suite_info("F4").dim
+    rows = [" ".join(["0.0"] * dim)]
+    rows += [" ".join(repr(float(v)) for v in r) for r in np.eye(dim)]
+    rows[2] = " ".join(cells + ["0.0"] * (dim - 1))  # one bad cell, or one cell short
+    path = tmp_path / "F4.txt"
+    path.write_text("\n".join(rows))
+    with pytest.raises(ParameterError, match=rf"F4\.txt, line 3: expected {dim} finite numbers"):
+        load_transform(path, dim)

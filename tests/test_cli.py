@@ -11,9 +11,10 @@ import pytest
 
 from alc import fetch, model
 from alc.cli import main, read_config_file
-from alc.data import load_dataset, write_idx_images, write_idx_labels
+from alc.data import load_dataset
 from alc.errors import ConfigError, IntegrityError, ParameterError
 from alc.fetch import RemoteFile, dataset_available, fetch_dataset, sha256_of
+from idx_files import write_idx_images, write_idx_labels
 
 
 def run_cli(*argv):
@@ -100,6 +101,12 @@ def test_crossval_lobule_grid(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lobules=4" in out and "selected lobules=" in out
 
+    code = run_cli("crossval", "--dataset", "iris", "--lobule-grid", "5,a", "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --lobule-grid takes a comma list of integers" in err
+    assert "Traceback" not in err
+
 
 def test_config_error_exit_code(tmp_path, capsys):
     code = run_cli(
@@ -167,6 +174,21 @@ def test_ablate_rejects_a_variant(tmp_path, capsys, route):
     assert "error: ablate runs every variant" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ablation_iris").exists()
+
+
+@pytest.mark.parametrize("token", ["x", "nan"])
+def test_optbench_malformed_transform_file(tmp_path, capsys, token):
+    # F4 is 10-dimensional, so the first line has the right length and fails on the token
+    (tmp_path / "F4.txt").write_text(" ".join([token] + ["0.0"] * 9) + "\n")
+    code = run_cli(
+        "optbench", "--functions", "F4", "--runs", "1", "--epochs", "2", "--agents", "2",
+        "--transform-dir", str(tmp_path), "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: transform file {tmp_path / 'F4.txt'}, line 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "optbench").exists()
 
 
 def test_optbench_command(tmp_path, capsys):

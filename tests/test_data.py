@@ -20,11 +20,10 @@ from alc.data import (
     standardize_fit,
     stratified_kfold,
     stratified_subsample,
-    write_idx_images,
-    write_idx_labels,
 )
 from alc.errors import AuditError, IngestError, ParameterError
 from alc.numkit import RngStream
+from idx_files import write_idx_images, write_idx_labels
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alc.errors import ParameterError, ShapeError
-from alc.numkit import RngStream, matmul, mean_all, relu, rng_uniform, softmax_rows
+from alc.errors import ShapeError
+from alc.numkit import RngStream, matmul, mean_all, relu, softmax_rows
 
 
 def naive_matmul(a, b):
@@ -110,20 +110,15 @@ def test_softmax_rows_sum_to_one(rows):
 
 
 def test_rng_uniform_deterministic():
-    a = rng_uniform(RngStream(7), -1, 1, 4, 3)
-    b = rng_uniform(RngStream(7), -1, 1, 4, 3)
+    a = RngStream(7).uniform(-1, 1, (4, 3))
+    b = RngStream(7).uniform(-1, 1, (4, 3))
     assert np.array_equal(a, b)
 
 
 def test_rng_uniform_range_and_mean():
-    draws = rng_uniform(RngStream(3), -1, 1, 100, 100)
+    draws = RngStream(3).uniform(-1, 1, (100, 100))
     assert (draws >= -1).all() and (draws < 1).all()
     assert abs(draws.mean()) <= 0.05
-
-
-def test_rng_uniform_rejects_bad_range():
-    with pytest.raises(ParameterError):
-        rng_uniform(RngStream(0), 1.0, 1.0, 2, 2)
 
 
 def test_rng_children_are_independent_and_deterministic():
@@ -137,8 +132,8 @@ def test_rng_children_are_independent_and_deterministic():
 
 def test_rng_bit_reproducible_across_processes():
     code = (
-        "from alc.numkit import RngStream, rng_uniform;"
-        "print(rng_uniform(RngStream(123), -1, 1, 8, 8).tobytes().hex())"
+        "from alc.numkit import RngStream;"
+        "print(RngStream(123).uniform(-1, 1, (8, 8)).tobytes().hex())"
     )
     outs = [
         subprocess.run(

@@ -24,20 +24,18 @@ def cfg_for(dim=5, epochs=50, agents=6, seed=1, lower=-10.0, upper=10.0):
 
 
 def test_alpha_schedule_first_epoch():
-    alpha_min, alpha = alpha_schedule(0, 500)
-    assert alpha_min == pytest.approx(0.001)
-    assert alpha == 1.0
+    assert alpha_schedule(0, 500) == 1.0
 
 
 def test_alpha_schedule_last_epoch():
-    _, alpha = alpha_schedule(499, 500)
-    assert alpha == pytest.approx(0.001 + 0.999 * (1 / 500), abs=1e-12)
+    # alpha_min = 1 / (2 * 500) = 0.001
+    assert alpha_schedule(499, 500) == pytest.approx(0.001 + 0.999 * (1 / 500), abs=1e-12)
 
 
 def test_alpha_strictly_decreasing():
-    values = [alpha_schedule(it, 100)[1] for it in range(100)]
+    values = [alpha_schedule(it, 100) for it in range(100)]
     assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] > alpha_schedule(99, 100)[0]
+    assert values[-1] > 1 / (2 * 100)  # alpha_min
 
 
 def test_alpha_schedule_rejects_bad_epoch():
