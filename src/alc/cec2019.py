@@ -48,8 +48,12 @@ def load_transform(path, dim):
 
     Every row holds ``dim`` finite numbers; a row that does not is named by its line.
     """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"transform file {path} cannot be read: {exc}") from exc
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -21,7 +21,6 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -212,9 +211,7 @@ def run_fold(cfg, x, y, n_classes, assignments, fold):
         upper=1.0,
         seed=_fold_seed(cfg.seed, fold),
     )
-    training_objective = partial(
-        model.objective, x=x_train, y_onehot=y_train_onehot, variant_model=variant_model
-    )
+    training_objective = model.TrainingObjective(x_train, y_train_onehot, variant_model)
     run = OPTIMIZERS["ifox"](training_objective, opt_cfg)
     trained = model.embed_trainable(run.best_x, variant_model)
     wall_time = time.perf_counter() - started

@@ -26,8 +26,17 @@ def log_loss(y_onehot, probs):
     p = np.asarray(probs, dtype=np.float64)
     if y.shape != p.shape:
         raise ShapeError(f"targets {y.shape} and predictions {p.shape} differ")
-    p = np.clip(p, CLIP, 1.0 - CLIP)
-    return float(-(y * np.log(p)).sum() / y.shape[0])
+    return float(log_loss_stack(y, p))
+
+
+def log_loss_stack(y_onehot, probs):
+    """:func:`log_loss` of each ``(n, o)`` matrix in a stack ``probs``, without shape checks.
+
+    Each matrix's terms are summed as one flattened ``n * o`` row, which is
+    how :func:`log_loss` sums its single matrix, so the two agree bit for bit.
+    """
+    terms = y_onehot * np.log(np.clip(probs, CLIP, 1.0 - CLIP))
+    return -terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / y_onehot.shape[0]
 
 
 @dataclass

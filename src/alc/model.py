@@ -11,7 +11,8 @@ scores through the vitamin matrix. Training is gradient-free: the trainable
 matrices are laid out as one vector (cofactor row-major, then vitamin
 row-major, frozen matrices left out), which :func:`embed_trainable` splices
 back into full parameters; an optimizer minimizes :func:`objective`, the log
-loss at that vector.
+loss at that vector. :class:`TrainingObjective` binds it to one training set
+and also scores a whole population of vectors in one call.
 
 Ablation variants keep the model runnable while disabling one component.
 :data:`TRAINABLE` says which matrices each variant trains; the variant's
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -109,8 +111,12 @@ def phase2(activated, vitamin):
     return prod / vitamin.shape[0] + numkit.mean_all(vitamin)
 
 
+@lru_cache(maxsize=32)
 def lobule_average_map(n_lobules, n_outputs):
-    """Frozen readout for phase1-only: each output averages a contiguous lobule block."""
+    """Frozen readout for phase1-only: each output averages a contiguous lobule block.
+
+    Built once per shape and returned read-only.
+    """
     if n_lobules < n_outputs:
         raise VariantError(
             f"phase1-only readout needs at least one lobule per class "
@@ -120,18 +126,22 @@ def lobule_average_map(n_lobules, n_outputs):
     w = np.zeros((n_lobules, n_outputs))
     for j in range(n_outputs):
         w[bounds[j] : bounds[j + 1], j] = 1.0 / (bounds[j + 1] - bounds[j])
+    w.setflags(write=False)
     return w
 
 
+@lru_cache(maxsize=32)
 def feature_embedding_map(n_features, n_lobules):
     """Frozen embedding for phase2-only: identity on the leading coordinates.
 
     Zero-pads when there are more lobules than features and truncates to the
-    first ``n_lobules`` features otherwise.
+    first ``n_lobules`` features otherwise. Built once per shape and returned
+    read-only.
     """
     w = np.zeros((n_features, n_lobules))
     m = min(n_features, n_lobules)
     w[:m, :m] = np.eye(m)
+    w.setflags(write=False)
     return w
 
 
@@ -223,6 +233,69 @@ def objective(vec, x, y_onehot, variant_model):
     """Training objective: log loss of the forward pass at trainable vector ``vec``."""
     params = embed_trainable(vec, variant_model)
     return metrics.log_loss(y_onehot, forward(x, params, variant_model.tag))
+
+
+class TrainingObjective:
+    """:func:`objective` bound to one training set, plus a population method.
+
+    Calling it with one trainable vector is the reference path.
+    :meth:`population` scores every row of an ``(agents, dim)`` block in one
+    pass over stacked matrices and gives values bit-equal to calling it once
+    per row.
+    """
+
+    def __init__(self, x, y_onehot, variant_model):
+        self.x = numkit.as_matrix(x, "input")
+        self.y_onehot = np.asarray(y_onehot, dtype=np.float64)
+        self.variant_model = variant_model
+        f, _, o = variant_model.params.shape
+        if self.x.shape[1] != f or self.y_onehot.shape != (self.x.shape[0], o):
+            raise ShapeError(
+                f"training set {self.x.shape} with targets {self.y_onehot.shape} "
+                f"does not fit a model with {f} features and {o} classes"
+            )
+
+    def __call__(self, vec):
+        return objective(vec, self.x, self.y_onehot, self.variant_model)
+
+    def population(self, positions):
+        """Log loss of each row of ``positions``, as an ``(agents,)`` array.
+
+        Trained matrices are stacked as ``(agents, rows, cols)`` with each
+        slice C-contiguous, like :func:`embed_trainable`'s copies, so every
+        slice goes through the same BLAS call and reductions as the reference
+        path. A frozen matrix is applied once and broadcast.
+        """
+        vm = self.variant_model
+        f, p, o = vm.params.shape
+        positions = np.asarray(positions, dtype=np.float64)
+        size = trainable_size(vm)
+        if positions.ndim != 2 or positions.shape[1] != size:
+            raise ShapeError(f"population has shape {positions.shape}, expected (agents, {size})")
+        agents = positions.shape[0]
+        cofactor, vitamin = vm.params.cofactor, vm.params.vitamin
+        if "cofactor" in vm.trainable:
+            cofactor = np.ascontiguousarray(positions[:, : f * p]).reshape(agents, f, p)
+        if "vitamin" in vm.trainable:
+            vitamin = np.ascontiguousarray(positions[:, size - p * o :]).reshape(agents, p, o)
+        if vm.tag == "phase2-only":
+            hidden = self.x @ feature_embedding_map(f, p)
+        else:
+            hidden = _stacked_phase(self.x, cofactor)
+            np.maximum(hidden, 0.0, out=hidden)
+        if vm.tag == "phase1-only":
+            scores = np.matmul(hidden, lobule_average_map(p, o))
+        else:
+            scores = _stacked_phase(hidden, vitamin)
+        return metrics.log_loss_stack(self.y_onehot, numkit.softmax_last(scores))
+
+
+def _stacked_phase(inputs, weights):
+    """:func:`phase1` / :func:`phase2` on one weight matrix or an ``(agents, rows, cols)`` stack."""
+    out = np.matmul(inputs, weights)
+    out /= weights.shape[-2]
+    out += weights.mean(axis=(-2, -1), keepdims=True)
+    return out
 
 
 def save_model(params, meta, path, variant="full"):

@@ -46,10 +46,26 @@ def relu(m):
 
 def softmax_rows(m):
     """Row-wise softmax with max-subtraction so large entries cannot overflow."""
-    m = as_matrix(m)
-    z = m - m.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_last(as_matrix(m))
+
+
+def softmax_last(m):
+    """Softmax over the last axis of an array of any rank, without shape checks.
+
+    Goes class by class: a running maximum over the class columns, one
+    ``exp``, a running sum in class order, then one divide. Below eight
+    classes the sum is bit-equal to numpy's own ``sum(axis=-1)``, and the
+    whole is several times faster than the reductions on short rows.
+    """
+    top = m[..., 0]
+    for j in range(1, m.shape[-1]):
+        top = np.maximum(top, m[..., j])
+    e = np.exp(m - top[..., None])
+    total = e[..., 0].copy()
+    for j in range(1, m.shape[-1]):
+        total += e[..., j]
+    e /= total[..., None]
+    return e
 
 
 class RngStream:

@@ -2,10 +2,21 @@
 
 All three optimizers share one driver, ``_drive``: it owns the random
 stream, draws the initial population uniformly in the init box, evaluates
-every agent once per epoch (aborting on a non-finite value), keeps the
-incumbent, the per-epoch best-fitness history, the evaluation count and the
-timing. An algorithm only supplies ``step(epoch, best_x, rng)``, which returns
-the next ``(agents, dim)`` population from one block of unit draws per epoch:
+every agent once per epoch (aborting on a non-finite value, naming the first
+bad agent), keeps the incumbent, the per-epoch best-fitness history, the
+evaluation count and the timing. The incumbent moves only to a strictly lower
+value, and among equal minima the lowest agent index wins.
+
+An objective is a callable ``f(vec) -> float`` on one ``(dim,)`` vector. It
+may also offer ``f.population(positions)``, mapping the whole ``(agents, dim)``
+population to an ``(agents,)`` array; ``_drive`` then makes one call per
+epoch instead of one per agent. Its values must be bit-equal to
+``[f(row) for row in positions]``, so that a run gives the same history and
+incumbent whichever path it takes. ``model.TrainingObjective`` offers one;
+the benchmark-suite objectives are plain callables.
+
+An algorithm only supplies ``step(epoch, best_x, rng)``, which returns the
+next ``(agents, dim)`` population from one block of unit draws per epoch:
 
 * ``optimize_ifox`` is the improved fox-hunting search: a single incumbent, an
   annealed step-size alpha that decays from 1 to 1/(2*epochs), and per agent
@@ -36,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, ShapeError
 from .numkit import RngStream
 
 GRAVITY_HALF = 4.905  # half of 9.81
@@ -90,28 +101,36 @@ def jump(t):
     return GRAVITY_HALF * t * t
 
 
-def _check_finite(value, optimizer, epoch, agent):
-    if not math.isfinite(value):
-        raise NumericError(
-            f"{optimizer}: objective returned {value!r} at epoch {epoch}, agent {agent}"
-        )
-
-
 def _drive(name, objective, cfg, step):
     """The epoch loop shared by every optimizer (see the module docstring)."""
     start = time.perf_counter()
     rng = RngStream(cfg.seed)
     positions = rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
+    population = getattr(objective, "population", None)
     best_x = None
     best_f = math.inf
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        for a in range(cfg.agents):
-            value = float(objective(positions[a]))
-            _check_finite(value, name, epoch, a)
-            if value < best_f:
-                best_f = value
-                best_x = positions[a].copy()
+        if population is None:
+            values = [float(objective(row)) for row in positions]
+        else:
+            scored = np.asarray(population(positions), dtype=np.float64)
+            if scored.shape != (cfg.agents,):
+                raise ShapeError(
+                    f"{name}: population gave shape {scored.shape}, expected ({cfg.agents},)"
+                )
+            values = scored.tolist()
+        bad = [a for a, value in enumerate(values) if not math.isfinite(value)]
+        if bad:
+            raise NumericError(
+                f"{name}: objective returned {values[bad[0]]!r} at epoch {epoch}, agent {bad[0]}"
+            )
+        # Python lists beat numpy reductions at a few dozen agents; min keeps
+        # the first agent among equal minima.
+        a = min(range(cfg.agents), key=values.__getitem__)
+        if values[a] < best_f:
+            best_f = values[a]
+            best_x = positions[a].copy()
         history[epoch] = best_f
         positions = step(epoch, best_x, rng)
     return OptimizerRun(

@@ -215,3 +215,20 @@ def test_transform_file_names_a_bad_row_by_line(tmp_path, cells):
     path.write_text("\n".join(rows))
     with pytest.raises(ParameterError, match=rf"F4\.txt, line 3: expected {dim} finite numbers"):
         load_transform(path, dim)
+
+
+def unreadable_transform(tmp_path, kind):
+    """``F4.txt`` under ``tmp_path`` that exists but cannot be read as text."""
+    path = tmp_path / "F4.txt"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe0\x00.\x00\xff\xd8")  # UTF-16 byte order mark, then invalid UTF-8
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "utf16-bom"])
+def test_transform_file_that_cannot_be_read_is_named(tmp_path, kind):
+    path = unreadable_transform(tmp_path, kind)
+    with pytest.raises(ParameterError, match=r"transform file .*F4\.txt cannot be read"):
+        load_transform(path, suite_info("F4").dim)

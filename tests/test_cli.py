@@ -191,6 +191,25 @@ def test_optbench_malformed_transform_file(tmp_path, capsys, token):
     assert not (tmp_path / "optbench").exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "utf16-bom"])
+def test_optbench_unreadable_transform_file(tmp_path, capsys, kind):
+    transforms = tmp_path / "transforms"
+    transforms.mkdir()
+    if kind == "directory":
+        (transforms / "F4.txt").mkdir()
+    else:
+        (transforms / "F4.txt").write_bytes(b"\xff\xfe0\x00.\x00")  # UTF-16 byte order mark
+    code = run_cli(
+        "optbench", "--functions", "F4", "--runs", "1", "--epochs", "2", "--agents", "2",
+        "--transform-dir", str(transforms), "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: transform file {transforms / 'F4.txt'} cannot be read" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "optbench").exists()
+
+
 def test_optbench_command(tmp_path, capsys):
     code = run_cli(
         "optbench", "--functions", "F4,F10", "--optimizers", "ifox,fox",

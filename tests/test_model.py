@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alc.errors import (
     LobuleRangeError,
@@ -12,7 +14,9 @@ from alc.errors import (
     VariantError,
 )
 from alc.model import (
+    VARIANTS,
     AlcParams,
+    TrainingObjective,
     embed_trainable,
     feature_embedding_map,
     forward,
@@ -25,8 +29,10 @@ from alc.model import (
     phase2,
     predict,
     save_model,
+    trainable_size,
 )
 from alc.numkit import RngStream
+from alc.optimizers import OptimizerConfig, optimize_ifox
 from oracles import phase1_oracle, phase2_oracle
 
 
@@ -183,6 +189,7 @@ def test_lobule_average_map_blocks():
     np.testing.assert_allclose(w[:5, 0], 0.2)
     np.testing.assert_allclose(w[5:, 1], 0.2)
     assert w.sum() == pytest.approx(2.0)
+    assert lobule_average_map(10, 2) is w and not w.flags.writeable
     with pytest.raises(VariantError):
         lobule_average_map(2, 3)
 
@@ -190,6 +197,7 @@ def test_lobule_average_map_blocks():
 def test_feature_embedding_map_pads_and_truncates():
     pad = feature_embedding_map(3, 5)
     assert pad.shape == (3, 5)
+    assert feature_embedding_map(3, 5) is pad and not pad.flags.writeable
     x = np.array([[1.0, 2.0, 3.0]])
     np.testing.assert_allclose(x @ pad, [[1, 2, 3, 0, 0]])
     clip = feature_embedding_map(5, 3)
@@ -286,6 +294,52 @@ def test_objective_hand_built_separator_is_tiny():
     x = np.array([[1.0], [-1.0]])
     y = np.eye(2)
     assert objective(theta, x, y, full_model(1, 2, 2)) < 0.01
+
+
+@st.composite
+def training_problems(draw):
+    """A variant, a training set and a population, entries up to +-50."""
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.integers(1, 200))
+    f = draw(st.integers(1, 12))
+    o = draw(st.integers(2, 10))
+    p = draw(st.integers(o if variant == "phase1-only" else 1, 15))
+    if variant == "identity-vitamin":
+        p = o
+    agents = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 50.0]))
+    base = AlcParams(f, p, o, rng.uniform(-scale, scale, (f, p)), rng.uniform(-scale, scale, (p, o)))
+    vm = make_variant(base, variant, RngStream(int(rng.integers(2**31))))
+    x = rng.uniform(-scale, scale, (n, f))
+    y = np.eye(o)[rng.integers(0, o, n)]
+    positions = rng.uniform(-scale, scale, (agents, trainable_size(vm)))
+    return TrainingObjective(x, y, vm), positions
+
+
+@settings(max_examples=100, deadline=None)
+@given(training_problems())
+def test_population_is_bit_equal_to_per_agent_calls(problem):
+    obj, positions = problem
+    assert np.array_equal(obj.population(positions), [obj(v) for v in positions])
+
+
+@settings(max_examples=20, deadline=None)
+@given(training_problems(), st.integers(0, 2**31))
+def test_ifox_run_is_identical_on_either_path(problem, seed):
+    # The batched run must match a run through a plain per-vector callable,
+    # which is what a per-call wrapper around the objective sees.
+    obj, positions = problem
+    agents, dim = positions.shape
+    cfg = OptimizerConfig(epochs=4, agents=agents, dim=dim, lower=-1.0, upper=1.0, seed=seed)
+    batched, per_agent = optimize_ifox(obj, cfg), optimize_ifox(lambda v: obj(v), cfg)
+    assert np.array_equal(batched.history, per_agent.history)
+    assert np.array_equal(batched.best_x, per_agent.best_x)
+
+
+def test_training_objective_rejects_a_mismatched_training_set():
+    with pytest.raises(ShapeError, match="does not fit"):
+        TrainingObjective(np.zeros((4, 3)), np.eye(2)[[0, 1, 0, 1]], full_model(2, 3, 2))
 
 
 def test_objective_invariant_to_uniform_score_shift():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alc.errors import NumericError, ParameterError
+from alc.errors import NumericError, ParameterError, ShapeError
 from alc.optimizers import (
     OPTIMIZERS,
     MultiRunStats,
@@ -13,6 +13,7 @@ from alc.optimizers import (
     optimize_ifox,
     optimize_random,
 )
+from alc.numkit import RngStream
 
 
 def sphere(x):
@@ -130,6 +131,46 @@ def test_non_finite_objective_aborts_with_location():
 
     with pytest.raises(NumericError, match="epoch 0, agent 0"):
         optimize_ifox(bad, cfg_for())
+
+
+def scripted_run(values, batched):
+    """One-epoch IFOX run where agent ``a`` scores ``values[a]``.
+
+    ``batched`` picks the population path; otherwise the per-agent one.
+    """
+    cfg = cfg_for(epochs=1, agents=len(values))
+    # _drive's first population: the first draw of the run's stream
+    positions = RngStream(cfg.seed).uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
+
+    def objective(x):
+        return values[int(np.flatnonzero((positions == x).all(axis=1))[0])]
+
+    if batched:
+        objective.population = lambda block: np.array(values)
+    return optimize_ifox(objective, cfg), positions
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-agent", "population"])
+def test_non_finite_agent_is_named_on_both_paths(batched):
+    values = [3.0, 2.0, 1.0, float("nan"), float("inf"), 0.5]
+    with pytest.raises(NumericError, match=r"^ifox: objective returned nan at epoch 0, agent 3$"):
+        scripted_run(values, batched)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-agent", "population"])
+def test_equal_minima_keep_the_lowest_agent(batched):
+    run, positions = scripted_run([4.0, 1.0, 2.0, 1.0, 1.0, 3.0], batched)
+    assert run.best_f == 1.0
+    assert np.array_equal(run.best_x, positions[1])
+
+
+def test_population_of_the_wrong_shape_is_rejected():
+    def objective(x):
+        return 1.0
+
+    objective.population = lambda positions: np.zeros(len(positions) + 1)
+    with pytest.raises(ShapeError, match="population gave shape"):
+        optimize_ifox(objective, cfg_for(agents=2))
 
 
 def test_multi_run_single():
