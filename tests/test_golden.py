@@ -8,15 +8,16 @@ cross-validation tables because timings cannot repeat.
 
 The golden files were written by these same helpers; a deliberate change in
 results means writing new files from :func:`crossval_outputs`,
-:func:`ablation_outputs`, :func:`optbench_outputs` and :func:`fox_outputs` in a
-commit of its own.
+:func:`ablation_outputs`, :func:`optbench_outputs`, :func:`fox_outputs` and
+:func:`suite_outputs` in a commit of its own.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from alc import data
+from alc import cec2019, data
 from alc.experiments import (
     default_config,
     run_ablation,
@@ -90,7 +91,38 @@ def fox_outputs(out_dir):
     return {"fox_shifted_sphere.csv": ("\n".join(lines) + "\n").encode()}
 
 
-@pytest.mark.parametrize("produce", [crossval_outputs, ablation_outputs, optbench_outputs, fox_outputs])
+def seeded_transform(rng, dim):
+    """Shift uniform in [-80, 80]^dim; rotation the sign-fixed Q of a Gaussian draw."""
+    shift = rng.uniform(-80.0, 80.0, dim)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return cec2019.Transform(shift=shift, rotation=q * np.sign(np.diag(r)))
+
+
+def suite_outputs(out_dir):
+    """Every suite function at 20 seeded points; F4-F10 also under one seeded transform.
+
+    Points span 1e-3 to 3 times the box, and the last one puts the first two
+    F3 atoms on top of each other.
+    """
+    rng = np.random.default_rng(2019)
+    lines = ["function,transform,point,value"]
+    for fid in cec2019.FUNCTION_IDS:
+        info = cec2019.suite_info(fid)
+        points = [
+            rng.uniform(info.lower, info.upper, info.dim) * (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0)[i % 6]
+            for i in range(20)
+        ]
+        points[-1][3:6] = points[-1][0:3]
+        transforms = [None] if fid in ("F1", "F2", "F3") else [None, seeded_transform(rng, info.dim)]
+        for tag, transform in enumerate(transforms):
+            for i, x in enumerate(points):
+                lines.append(f"{fid},{tag},{i},{float(cec2019.evaluate(fid, x, transform))!r}")
+    return {"suite_values.csv": ("\n".join(lines) + "\n").encode()}
+
+
+@pytest.mark.parametrize(
+    "produce", [crossval_outputs, ablation_outputs, optbench_outputs, fox_outputs, suite_outputs]
+)
 def test_reports_match_golden_files(tmp_path, produce):
     for name, produced in produce(tmp_path).items():
         assert produced == (GOLDEN / name).read_bytes(), name
