@@ -11,7 +11,26 @@ By default F4-F10 use a zero shift and identity rotation, which keeps the
 repo self-contained and preserves relative optimizer comparisons; official
 transform data can be supplied through :func:`load_transform` files (first
 line the shift vector, then one rotation-matrix row per line, whitespace
-separated).
+separated). A transform is checked once, against its function's dimension,
+where an objective is made and on each :func:`evaluate`.
+
+Each function is one row kernel ``kernel(x, transform)`` over an
+``(agents, dim)`` block, returning ``(agents,)`` values without the offset.
+:func:`evaluate` runs it on one row; :class:`SuiteObjective.population` runs
+it on a whole population. A kernel's row values never depend on the other
+rows, so the two paths agree bit for bit. That rests on a few rules:
+
+* sums and products run over ``axis=-1`` of C-contiguous rows, the order of
+  a 1-D reduction; F6 sums its ``(dim, 21)`` terms as one row of ``dim * 21``,
+  and F8 adds ``z**2 + roll(z)**2``;
+* a rotation is one matrix-vector product per row,
+  ``matmul(rotation, z[:, :, None])``, since ``z @ rotation.T`` rounds
+  differently;
+* F1 sums each row's compacted out-of-band penalties and then adds its two
+  edge terms, in that order; F3 adds its pair terms in a fixed pair order
+  with the sequential ``np.add.accumulate``;
+* F9 and F10 finish each row in Python floats (``**``, ``math.exp``,
+  ``math.sqrt``), whose results differ from numpy's on a few values.
 """
 
 from __future__ import annotations
@@ -78,78 +97,83 @@ def load_transform(path, dim):
 def _shrunk(x, rate, transform):
     if transform is None:
         return x * rate
-    return transform.rotation @ ((x - transform.shift) * rate)
+    # one matrix-vector product per row: the bits of ``rotation @ row``, unlike ``z @ rotation.T``
+    return np.matmul(transform.rotation, ((x - transform.shift) * rate)[:, :, None])[..., 0]
 
 
-def _chebyshev(x):
-    d = x.size
-    a, b = 1.0, 1.2
+def _chebyshev(x, transform):
+    a, d = x.shape
+    lo, hi = 1.0, 1.2
     for _ in range(d - 2):
-        a, b = b, 2.4 * b - a
-    bound = b
+        lo, hi = hi, 2.4 * hi - lo
+    bound = hi
     sample = 32 * d
-    dy = 2.0 / sample
-    ys = -1.0 + np.arange(sample + 1) * dy
-    px = np.zeros(sample + 1)
-    for c in x:
-        px = ys * px + c
-    outside = np.abs(px) > 1.0
-    penalty = float((((1.0 - np.abs(px)) ** 2)[outside]).sum())
-    for y_edge in (-1.2, 1.2):
-        edge = 0.0
-        for c in x:
-            edge = y_edge * edge + c
-        if edge < bound:
-            penalty += edge * edge
-    return penalty
+    # the sample grid on [-1, 1] and then the two edge points, in one Horner pass
+    ys = np.append(-1.0 + np.arange(sample + 1) * (2.0 / sample), (-1.2, 1.2))
+    px = np.zeros((a, ys.size))
+    for c in x.T:
+        px *= ys
+        px += c[:, None]
+    grid = np.abs(px[:, :-2])
+    sq = (1.0 - grid) ** 2
+    # each row sums its own compacted values: a masked full-row sum adds in another order
+    penalty = [float(row[keep].sum()) for row, keep in zip(sq, grid > 1.0)]
+    for k, edges in enumerate(px[:, -2:].tolist()):
+        for edge in edges:
+            if edge < bound:
+                penalty[k] += edge * edge
+    return np.array(penalty)
 
 
-def _inverse_hilbert(x):
-    b = int(round(math.sqrt(x.size)))
+def _inverse_hilbert(x, transform):
+    a, d = x.shape
+    b = int(round(math.sqrt(d)))
     hilbert = 1.0 / (np.arange(b)[:, None] + np.arange(b)[None, :] + 1.0)
-    w = x.reshape(b, b)
-    return float(np.abs(hilbert @ w - np.eye(b)).sum())
+    residual = np.abs(np.matmul(hilbert, x.reshape(a, b, b)) - np.eye(b))
+    return residual.reshape(a, d).sum(axis=-1)
 
 
 LENNARD_JONES_OFFSET = 12.7120622568  # 6-atom minimum energy magnitude
+_LJ_FIRST, _LJ_SECOND = np.triu_indices(6, 1)  # atom pairs in the order they are summed
 
 
-def _lennard_jones(x):
-    points = x.reshape(-1, 3)
-    k = points.shape[0]
-    energy = LENNARD_JONES_OFFSET
-    for i in range(k - 1):
-        d2 = ((points[i + 1 :] - points[i]) ** 2).sum(axis=1)
-        ud = d2**3
-        for u in ud:
-            energy += (1.0 / u - 2.0) / u if u > 1e-10 else 1.0e20
-    return energy
+def _lennard_jones(x, transform):
+    points = x.reshape(len(x), -1, 3)
+    d2 = ((points[:, _LJ_SECOND] - points[:, _LJ_FIRST]) ** 2).sum(axis=-1)
+    u = d2**3
+    with np.errstate(all="ignore"):  # the branch not taken may divide by zero or overflow
+        terms = np.where(u > 1e-10, (1.0 / u - 2.0) / u, 1.0e20)
+    # add.accumulate is sequential, so each row adds its pairs in order
+    energy = np.concatenate([np.full((len(x), 1), LENNARD_JONES_OFFSET), terms], axis=1)
+    return np.add.accumulate(energy, axis=1)[:, -1]
 
 
 def _rastrigin(x, transform):
     z = _shrunk(x, 5.12 / 100.0, transform)
-    return float((z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum())
+    return (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=-1)
 
 
 def _griewank(x, transform):
     z = _shrunk(x, 600.0 / 100.0, transform)
-    denom = np.sqrt(np.arange(1.0, z.size + 1.0))
-    return float((z * z).sum() / 4000.0 - np.prod(np.cos(z / denom)) + 1.0)
+    denom = np.sqrt(np.arange(1.0, z.shape[1] + 1.0))
+    return (z * z).sum(axis=-1) / 4000.0 - np.prod(np.cos(z / denom), axis=-1) + 1.0
+
+
+_W_A = 0.5 ** np.arange(21)  # Weierstrass a**k and b**k for k = 0..20
+_W_B = 3.0 ** np.arange(21)
+_W_CENTER = (_W_A * np.cos(2.0 * np.pi * _W_B * 0.5)).sum()
 
 
 def _weierstrass(x, transform):
     z = _shrunk(x, 0.5 / 100.0, transform) + 0.5
-    a, b, k_max = 0.5, 3.0, 20
-    powers_a = a ** np.arange(k_max + 1)
-    powers_b = b ** np.arange(k_max + 1)
-    per_coord = (powers_a[None, :] * np.cos(2.0 * np.pi * powers_b[None, :] * z[:, None])).sum()
-    center = (powers_a * np.cos(2.0 * np.pi * powers_b * 0.5)).sum()
-    return float(per_coord - z.size * center)
+    a, d = z.shape
+    per_coord = _W_A * np.cos(2.0 * np.pi * _W_B * z[:, :, None])
+    return per_coord.reshape(a, d * _W_A.size).sum(axis=-1) - d * _W_CENTER
 
 
 def _modified_schwefel(x, transform):
     z = _shrunk(x, 1000.0 / 100.0, transform) + 4.209687462275036e2
-    d = z.size
+    d = z.shape[1]
     with np.errstate(invalid="ignore"):
         mid = -z * np.sin(np.sqrt(np.abs(z)))
         high_rem = 500.0 - np.mod(z, 500.0)
@@ -159,38 +183,37 @@ def _modified_schwefel(x, transform):
             z + 500.0
         ) ** 2 / (10000.0 * d)
     total = np.where(np.abs(z) <= 500.0, mid, np.where(z > 500.0, high, low))
-    return float(total.sum()) + 4.189828872724338e2 * d
+    return total.sum(axis=-1) + 4.189828872724338e2 * d
 
 
 def _expanded_schaffer6(x, transform):
     z = _shrunk(x, 1.0, transform)
-    pairs = np.stack([z, np.roll(z, -1)])
-    s2 = (pairs**2).sum(axis=0)
-    return float((0.5 + (np.sin(np.sqrt(s2)) ** 2 - 0.5) / (1.0 + 0.001 * s2) ** 2).sum())
+    s2 = z**2 + np.roll(z, -1, axis=-1) ** 2
+    return (0.5 + (np.sin(np.sqrt(s2)) ** 2 - 0.5) / (1.0 + 0.001 * s2) ** 2).sum(axis=-1)
 
 
 def _happy_cat(x, transform):
     z = _shrunk(x, 5.0 / 100.0, transform) - 1.0
-    d = z.size
-    r2 = float((z * z).sum())
-    return abs(r2 - d) ** 0.25 + (0.5 * r2 + z.sum()) / d + 0.5
+    d = z.shape[1]
+    r2, total = (z * z).sum(axis=-1).tolist(), z.sum(axis=-1).tolist()
+    # Python's power, not numpy's, which differs in the last bit on a few values
+    return np.array([abs(r - d) ** 0.25 + (0.5 * r + t) / d + 0.5 for r, t in zip(r2, total)])
 
 
 def _ackley(x, transform):
     z = _shrunk(x, 1.0, transform)
-    d = z.size
-    return float(
-        -20.0 * math.exp(-0.2 * math.sqrt((z * z).sum() / d))
-        - math.exp(np.cos(2.0 * np.pi * z).sum() / d)
-        + 20.0
-        + math.e
-    )
+    d = z.shape[1]
+    squares, cosines = (z * z).sum(axis=-1).tolist(), np.cos(2.0 * np.pi * z).sum(axis=-1).tolist()
+    return np.array([
+        -20.0 * math.exp(-0.2 * math.sqrt(s / d)) - math.exp(c / d) + 20.0 + math.e
+        for s, c in zip(squares, cosines)
+    ])
 
 
 _SUITE = {
-    "F1": (BenchFunction("F1", "chebyshev-fit", 9, -8192.0, 8192.0), None),
-    "F2": (BenchFunction("F2", "inverse-hilbert", 16, -16384.0, 16384.0), None),
-    "F3": (BenchFunction("F3", "lennard-jones", 18, -4.0, 4.0), None),
+    "F1": (BenchFunction("F1", "chebyshev-fit", 9, -8192.0, 8192.0), _chebyshev),
+    "F2": (BenchFunction("F2", "inverse-hilbert", 16, -16384.0, 16384.0), _inverse_hilbert),
+    "F3": (BenchFunction("F3", "lennard-jones", 18, -4.0, 4.0), _lennard_jones),
     "F4": (BenchFunction("F4", "rastrigin", 10, -100.0, 100.0), _rastrigin),
     "F5": (BenchFunction("F5", "griewank", 10, -100.0, 100.0), _griewank),
     "F6": (BenchFunction("F6", "weierstrass", 10, -100.0, 100.0), _weierstrass),
@@ -200,7 +223,7 @@ _SUITE = {
     "F10": (BenchFunction("F10", "ackley", 10, -100.0, 100.0), _ackley),
 }
 
-_FIXED = {"F1": _chebyshev, "F2": _inverse_hilbert, "F3": _lennard_jones}
+_FIXED = ("F1", "F2", "F3")
 
 FUNCTION_IDS = tuple(_SUITE)
 
@@ -212,20 +235,59 @@ def suite_info(fid):
     return _SUITE[fid][0]
 
 
+def _checked(fid, transform):
+    """Metadata of ``fid`` once ``transform`` is known to fit it."""
+    info = suite_info(fid)
+    if transform is None:
+        return info
+    if fid in _FIXED:
+        raise ParameterError(f"{fid} is a fixed problem and takes no transform")
+    shift, rotation = np.shape(transform.shift), np.shape(transform.rotation)
+    if shift != (info.dim,) or rotation != (info.dim, info.dim):
+        raise ShapeError(
+            f"{fid} needs a shift of shape ({info.dim},) and a rotation of shape "
+            f"({info.dim}, {info.dim}), got {shift} and {rotation}"
+        )
+    if not (np.isfinite(transform.shift).all() and np.isfinite(transform.rotation).all()):
+        raise ParameterError(f"{fid} transform has a non-finite entry")
+    return info
+
+
 def evaluate(fid, x, transform=None):
     """Value of a suite function at x, including the +1 offset."""
-    info = suite_info(fid)
+    info = _checked(fid, transform)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != info.dim:
         raise ShapeError(f"{fid} expects a vector of length {info.dim}, got shape {x.shape}")
-    if fid in _FIXED:
-        if transform is not None:
-            raise ParameterError(f"{fid} is a fixed problem and takes no transform")
-        return _FIXED[fid](x) + 1.0
-    return _SUITE[fid][1](x, transform) + 1.0
+    return _SUITE[fid][1](x[None], transform)[0] + 1.0
+
+
+@dataclass(frozen=True)
+class SuiteObjective:
+    """Objective bound to one function id, scoring one vector or a whole population.
+
+    ``obj(x)`` goes through the module's :func:`evaluate`; ``obj.population``
+    runs the row kernel once over an ``(agents, dim)`` block, bit-equal to
+    scoring each row on its own.
+    """
+
+    fid: str
+    transform: Transform | None = None
+
+    def __post_init__(self):
+        _checked(self.fid, self.transform)
+
+    def __call__(self, x):
+        return evaluate(self.fid, x, self.transform)
+
+    def population(self, positions):
+        dim = _SUITE[self.fid][0].dim
+        positions = np.ascontiguousarray(positions, dtype=np.float64)
+        if positions.ndim != 2 or positions.shape[1] != dim:
+            raise ShapeError(f"{self.fid} expects rows of length {dim}, got shape {positions.shape}")
+        return _SUITE[self.fid][1](positions, self.transform) + 1.0
 
 
 def make_objective(fid, transform=None):
-    """Callable objective bound to one function id."""
-    suite_info(fid)
-    return lambda x: evaluate(fid, x, transform)
+    """Objective bound to one function id; see :class:`SuiteObjective`."""
+    return SuiteObjective(fid, transform)

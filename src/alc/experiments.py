@@ -19,7 +19,6 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -250,6 +249,9 @@ def _map_tasks(worker, tasks, jobs):
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(t) for t in tasks]
+    # imported here: multiprocessing costs every serial run about a megabyte
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 

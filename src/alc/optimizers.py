@@ -12,8 +12,8 @@ may also offer ``f.population(positions)``, mapping the whole ``(agents, dim)``
 population to an ``(agents,)`` array; ``_drive`` then makes one call per
 epoch instead of one per agent. Its values must be bit-equal to
 ``[f(row) for row in positions]``, so that a run gives the same history and
-incumbent whichever path it takes. ``model.TrainingObjective`` offers one;
-the benchmark-suite objectives are plain callables.
+incumbent whichever path it takes. ``model.TrainingObjective`` and the
+benchmark suite's ``cec2019.SuiteObjective`` both offer one.
 
 An algorithm only supplies ``step(epoch, best_x, rng)``, which returns the
 next ``(agents, dim)`` population from one block of unit draws per epoch:

@@ -2,9 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alc.cec2019 import FUNCTION_IDS, evaluate, load_transform, make_objective, suite_info
-from alc.errors import ParameterError, ShapeError
+from alc.cec2019 import (
+    FUNCTION_IDS,
+    SuiteObjective,
+    Transform,
+    evaluate,
+    load_transform,
+    make_objective,
+    suite_info,
+)
+from alc.errors import AlcError, ParameterError, ShapeError
+from alc.experiments import run_optbench
+from alc.optimizers import OptimizerConfig, optimize_fox, optimize_ifox
+from test_golden import seeded_transform
 
 # Minimizers under the suite's zero-shift, identity-rotation default.
 CHEBYSHEV_OPT = [128.0, 0.0, -256.0, 0.0, 160.0, 0.0, -32.0, 0.0, 1.0]
@@ -168,7 +181,55 @@ def test_evaluate_is_pure():
 
 def test_objective_factory():
     obj = make_objective("F10")
+    assert obj == SuiteObjective("F10")
     assert obj(np.zeros(10)) == pytest.approx(1.0, abs=1e-9)
+    assert obj.population(np.zeros((3, 10))) == pytest.approx([1.0] * 3, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 9), (3, 10, 1)])
+def test_population_of_the_wrong_shape_is_rejected(shape):
+    with pytest.raises(ShapeError, match="F4 expects rows of length 10"):
+        make_objective("F4").population(np.zeros(shape))
+
+
+@st.composite
+def suite_populations(draw):
+    """An objective and a population of 1-12 agents, entries from 1e-3 up to 3 times the box.
+
+    F4-F10 draw a seeded shift and rotation half the time; a collapsed draw
+    puts the first two F3 atoms on top of each other in every agent.
+    """
+    fid = draw(st.sampled_from(FUNCTION_IDS))
+    info = suite_info(fid)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 3.0]))
+    positions = rng.uniform(info.lower, info.upper, (draw(st.integers(1, 12)), info.dim)) * scale
+    if draw(st.booleans()):
+        positions[:, 3:6] = positions[:, 0:3]
+    transform = None
+    if fid not in ("F1", "F2", "F3") and draw(st.booleans()):
+        transform = seeded_transform(rng, info.dim)
+    return make_objective(fid, transform), positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(suite_populations())
+def test_population_is_bit_equal_to_per_row_calls(problem):
+    obj, positions = problem
+    assert np.array_equal(obj.population(positions), [obj(row) for row in positions], equal_nan=True)
+
+
+@pytest.mark.parametrize("optimize", [optimize_ifox, optimize_fox], ids=["ifox", "fox"])
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_run_is_identical_on_the_population_path(optimize, fid):
+    # _drive scores a SuiteObjective one population per epoch, a plain callable one row per call.
+    info = suite_info(fid)
+    transform = None if fid in ("F1", "F2", "F3") else seeded_transform(np.random.default_rng(5), info.dim)
+    obj = make_objective(fid, transform)
+    cfg = OptimizerConfig(epochs=30, agents=7, dim=info.dim, lower=info.lower, upper=info.upper, seed=3)
+    batched, per_row = optimize(obj, cfg), optimize(lambda v: obj(v), cfg)
+    assert np.array_equal(batched.history, per_row.history)
+    assert np.array_equal(batched.best_x, per_row.best_x)
 
 
 def test_transform_file_round_trip(tmp_path):
@@ -196,6 +257,38 @@ def test_transform_rejected_for_fixed_problems(tmp_path):
     transform = load_transform(path, info.dim)
     with pytest.raises(ParameterError):
         evaluate("F1", np.zeros(9), transform)
+    with pytest.raises(ParameterError, match="F1 is a fixed problem"):
+        make_objective("F1", transform)
+
+
+def test_unknown_function_id_rejected_when_the_objective_is_made():
+    with pytest.raises(ParameterError, match="unknown function id 'F11'"):
+        make_objective("F11")
+
+
+MISFITS = {
+    "short-shift": (np.zeros(5), np.eye(10), ShapeError),
+    "small-rotation": (np.zeros(10), np.eye(5), ShapeError),
+    "flat-rotation": (np.zeros(10), np.zeros(100), ShapeError),
+    "nan-shift": (np.r_[np.nan, np.zeros(9)], np.eye(10), ParameterError),
+    "inf-rotation": (np.zeros(10), np.diag(np.r_[np.inf, np.ones(9)]), ParameterError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISFITS))
+def test_transform_that_does_not_fit_is_rejected(name):
+    shift, rotation, error = MISFITS[name]
+    transform = Transform(shift=shift, rotation=rotation)
+    with pytest.raises(error, match="F4"):
+        make_objective("F4", transform)
+    with pytest.raises(error, match="F4"):
+        evaluate("F4", np.zeros(10), transform)
+
+
+def test_misfit_transform_stops_optbench_with_a_typed_error():
+    misfit = {"F4": Transform(shift=np.zeros(5), rotation=np.eye(5))}
+    with pytest.raises(AlcError, match=r"F4 needs a shift of shape \(10,\)"):
+        run_optbench(function_ids=("F4",), runs=1, epochs=2, agents=2, transforms=misfit)
 
 
 def test_transform_file_validation(tmp_path):

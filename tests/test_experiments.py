@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,11 +146,23 @@ class RecordingPool:
     [(5000, 10, 64, [10]), (5000, 10, 4, [4]), (3, 10, 64, [3]), (8, 1, 64, []), (2, 10, 1, [])],
 )
 def test_map_tasks_clamps_pool_size(monkeypatch, jobs, tasks, cpus, expected):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # _map_tasks imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     RecordingPool.sizes = []
     assert experiments._map_tasks(abs, [-t for t in range(tasks)], jobs) == list(range(tasks))
     assert RecordingPool.sizes == expected
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    # A fresh interpreter: this one has long since loaded the pool for other tests.
+    src = str(Path(experiments.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, alc, alc.cec2019; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_histories_non_increasing(tiny_result):
