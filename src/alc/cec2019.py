@@ -262,7 +262,7 @@ def evaluate(fid, x, transform=None):
     return _SUITE[fid][1](x[None], transform)[0] + 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuiteObjective:
     """Objective bound to one function id, scoring one vector or a whole population.
 

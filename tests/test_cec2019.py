@@ -181,7 +181,7 @@ def test_evaluate_is_pure():
 
 def test_objective_factory():
     obj = make_objective("F10")
-    assert obj == SuiteObjective("F10")
+    assert isinstance(obj, SuiteObjective) and (obj.fid, obj.transform) == ("F10", None)
     assert obj(np.zeros(10)) == pytest.approx(1.0, abs=1e-9)
     assert obj.population(np.zeros((3, 10))) == pytest.approx([1.0] * 3, abs=1e-9)
 
