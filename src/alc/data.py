@@ -23,6 +23,8 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -103,28 +105,53 @@ def require_train(view, what):
 # ingestion
 
 
+# Rows per block of feature cells converted by one numpy call while reading a
+# CSV; bounds the cell strings held at once.
+CSV_BLOCK_ROWS = 512
+
+
 def _read_csv(path, has_header, label_column=None):
     """Parse a numeric CSV into (feature names, feature matrix, label cells).
 
     Every row must have as many cells as the first, and every cell outside
     the label column must parse as a finite float. With ``label_column`` None
-    every column is a feature and the label cells come back empty.
+    every column is a feature and the label cells come back empty. Blank
+    lines are skipped, and rows are numbered from 1 after the header.
+
+    The file is read in one streaming pass. Feature cells are collected in
+    blocks of :data:`CSV_BLOCK_ROWS` rows, and each full block becomes float64
+    in one ``np.array`` call, which parses each string with ``float()``. So
+    the values are those of ``float(cell)``, bit for bit, and only one block
+    of strings is held at a time. A block that fails to convert is scanned
+    again cell by cell, only to name the bad cell. The first bad row wins: a
+    ragged row is reported after the rows before it are converted, and a
+    non-finite value only when every cell parsed. A file that cannot be read
+    as CSV text (a directory, undecodable bytes, a cell over csv's field size
+    limit) is an :class:`IngestError` naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise IngestError(f"{path} is empty")
+    try:
+        with path.open(newline="") as fh:
+            return _parse_csv(path, csv.reader(fh), has_header, label_column)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path} is not text: {exc}") from exc
+    except (OSError, csv.Error) as exc:
+        raise IngestError(f"{path} cannot be read as CSV: {exc}") from exc
 
+
+def _parse_csv(path, reader, has_header, label_column):
+    first = next((r for r in reader if r), None)
+    if first is None:
+        raise IngestError(f"{path} is empty")
     header = None
     if has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
+        header = [c.strip() for c in first]
+        first = next((r for r in reader if r), None)
+        if first is None:
             raise IngestError(f"{path} has a header but no data rows")
-    n_cols = len(rows[0])
+    n_cols = len(first)
 
     label_idx = None
     if isinstance(label_column, str):
@@ -142,19 +169,49 @@ def _read_csv(path, has_header, label_column=None):
     feature_names = (
         [header[i] for i in feature_idx] if header else [f"x{i}" for i in feature_idx]
     )
+    # One slice takes the features unless a label column splits them; a
+    # slice also keeps a single feature a one-cell row rather than a string.
+    lo, hi = (feature_idx[0], feature_idx[-1] + 1) if feature_idx else (0, 0)
+    pick = itemgetter(slice(lo, hi)) if hi - lo == len(feature_idx) else itemgetter(*feature_idx)
 
-    x = np.empty((len(rows), len(feature_idx)))
-    for r, row in enumerate(rows):
+    def convert(block, done):
+        """float64 rows of ``block``, whose first row is data row ``done + 1``."""
+        try:
+            return np.array(block, dtype=np.float64)
+        except ValueError:
+            pass
+        values = np.empty((len(block), len(feature_idx)))
+        for r, cells in enumerate(block):
+            for j, cell in enumerate(cells):
+                try:
+                    values[r, j] = float(cell)
+                except ValueError:
+                    raise IngestError(
+                        f"{path}: cannot parse {cell.strip()!r} at row {done + r + 1}, "
+                        f"column {feature_idx[j] + 1}"
+                    ) from None
+        return values
+
+    parts, block, labels, done = [], [], [], 0
+    for row in chain((first,), reader):
+        if not row:
+            continue
         if len(row) != n_cols:
-            raise IngestError(f"{path}: row {r + 1} has {len(row)} cells, expected {n_cols}")
-        for j, i in enumerate(feature_idx):
-            cell = row[i].strip()
-            try:
-                x[r, j] = float(cell)
-            except ValueError:
-                raise IngestError(
-                    f"{path}: cannot parse {cell!r} at row {r + 1}, column {i + 1}"
-                ) from None
+            if block:
+                convert(block, done)
+            raise IngestError(
+                f"{path}: row {done + len(block) + 1} has {len(row)} cells, expected {n_cols}"
+            )
+        block.append(pick(row))
+        if label_idx is not None:
+            labels.append(row[label_idx].strip())
+        if len(block) == CSV_BLOCK_ROWS:
+            parts.append(convert(block, done))
+            done += len(block)
+            block = []
+    if block:
+        parts.append(convert(block, done))
+    x = np.concatenate(parts) if len(parts) > 1 else parts[0]
     # float() accepts "nan" and "inf"; one vectorized pass rejects them.
     bad = ~np.isfinite(x)
     if bad.any():
@@ -163,7 +220,6 @@ def _read_csv(path, has_header, label_column=None):
             f"{path}: non-finite value {float(x[r, j])} at row {r + 1}, "
             f"column {feature_idx[j] + 1}"
         )
-    labels = [] if label_idx is None else [row[label_idx].strip() for row in rows]
     return feature_names, x, labels
 
 

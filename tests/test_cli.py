@@ -276,6 +276,32 @@ def test_predict_rejects_non_finite_cells(tmp_path, capsys, cell, labelled):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("undecodable", "is not text"),
+        ("oversized-cell", "cannot be read as CSV: field larger than field limit"),
+        ("directory", "cannot be read as CSV"),
+    ],
+    ids=["undecodable", "oversized-cell", "directory"],
+)
+def test_predict_unreadable_data_file_exits_3(tmp_path, capsys, kind, message):
+    params = model.AlcParams(2, 3, 2, np.zeros((2, 3)), np.zeros((3, 2)))
+    model_path = tmp_path / "m.json"
+    model.save_model(params, {"seed": 0, "epochs": 1, "agents": 2, "dataset_id": "x"}, model_path)
+    data_path = tmp_path / "requests.csv"
+    if kind == "undecodable":
+        data_path.write_bytes(b"a,b\n1,2\n\xff\xfe,4\n")
+    elif kind == "oversized-cell":
+        data_path.write_bytes(b"a,b\n1,2\n3," + b"4" * 140_000 + b"\n")
+    else:
+        data_path.mkdir()
+    assert run_cli("predict", "--model", str(model_path), "--data", str(data_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_path}") and message in err
+    assert "Traceback" not in err
+
+
 def test_predict_bad_model_file(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{}")

@@ -1,11 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alc import data
 from alc.data import (
+    CSV_BLOCK_ROWS,
     SplitView,
     lda_fit,
     lda_transform,
@@ -21,7 +24,7 @@ from alc.data import (
     stratified_kfold,
     stratified_subsample,
 )
-from alc.errors import AuditError, IngestError, ParameterError
+from alc.errors import AuditError, IngestError, ParameterError, ShapeError
 from alc.numkit import RngStream
 from idx_files import write_idx_images, write_idx_labels
 
@@ -126,6 +129,181 @@ def test_load_features_reports_ragged_row(tmp_path):
     path.write_text("1,2,3\n4,5\n")
     with pytest.raises(IngestError, match="row 2 has 2 cells, expected 3"):
         load_features(path, has_header=False)
+
+
+B = CSV_BLOCK_ROWS
+CELL_FORMATS = (repr, "%.6f".__mod__, "%e".__mod__, lambda v: f"  {v!r} ")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 1]),
+    n_features=st.integers(1, 4),
+    label_at=st.sampled_from([None, "first", "middle", "last"]),
+    drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_values_are_bit_equal_to_float_of_each_cell(
+    tmp_path_factory, n_rows, n_features, label_at, drawn, seed
+):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 10.0 ** rng.integers(-8, 9, (n_rows, n_features)))
+    values.ravel()[: len(drawn)] = drawn[: values.size]
+    formats = rng.integers(0, len(CELL_FORMATS), values.shape)
+    cells = [
+        [CELL_FORMATS[k](v) for k, v in zip(fmt_row, row)]
+        for fmt_row, row in zip(formats.tolist(), values.tolist())
+    ]
+    label_idx = {None: None, "first": 0, "middle": min(1, n_features), "last": n_features}[label_at]
+    lines = []
+    for r, row in enumerate(cells):
+        if label_idx is not None:
+            row = [*row[:label_idx], f"c{r % 3}", *row[label_idx:]]
+        lines.append(",".join(row))
+    path = tmp_path_factory.mktemp("csv") / "cells.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    _, x, labels = data._read_csv(path, has_header=False, label_column=label_idx)
+    expected = np.array([[float(c) for c in row] for row in cells]).reshape(n_rows, n_features)
+    assert x.shape == (n_rows, n_features)
+    assert np.array_equal(_bits(x), _bits(expected))
+    assert labels == ([] if label_idx is None else [f"c{r % 3}" for r in range(n_rows)])
+
+
+@pytest.mark.parametrize(
+    "cell", ["1_0", " 12.5 ", "\u00a012\u00a0", "\uff13.\uff15", "-0", "-0.0", "1e-320", "+.5", "\t7\t"]
+)
+def test_csv_odd_cells_read_as_float_reads_them(tmp_path, cell):
+    path = tmp_path / "odd.csv"
+    path.write_text(f'a,b\n1,"{cell}"\n')
+    assert np.array_equal(_bits(load_features(path)), _bits([[1.0, float(cell)]]))
+
+
+def _block_rows(n_rows, bad_row=None, bad_line=None):
+    """An unlabelled 3-column CSV of ``n_rows`` data rows; ``bad_row`` (1-based) is replaced."""
+    lines = ["a,b,c"]
+    for r in range(1, n_rows + 1):
+        lines.append(bad_line if r == bad_row else f"{r},{r / 7!r},-{r}e-3")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad_row", [B, B + 1, B + 7, 2 * B + 1])
+@pytest.mark.parametrize(
+    "bad_line,message",
+    [
+        ("1,oops,3", "cannot parse 'oops' at row {r}, column 2"),
+        ("1,2", "row {r} has 2 cells, expected 3"),
+        ("1,2,-inf", "non-finite value -inf at row {r}, column 3"),
+    ],
+)
+def test_csv_errors_after_the_first_block_name_their_row(tmp_path, bad_row, bad_line, message):
+    path = tmp_path / "late.csv"
+    path.write_text(_block_rows(2 * B + 1, bad_row, bad_line))
+    with pytest.raises(IngestError, match=rf"late\.csv: {message.format(r=bad_row)}$"):
+        load_features(path)
+
+
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        # a parse error before a ragged row in a later block wins
+        ({B + 2: "1,x,3", B + 5: "1,2"}, f"cannot parse 'x' at row {B + 2}"),
+        # a ragged row before a parse error in the same block wins
+        ({B + 2: "1,2", B + 5: "1,x,3"}, f"row {B + 2} has 2 cells"),
+        # a parse error in the block still pending when a ragged row is met wins
+        ({3: "x,2,3", 5: "1,2"}, "cannot parse 'x' at row 3"),
+        # any parse error wins over a non-finite value, wherever it is
+        ({2: "nan,2,3", B + 5: "1,x,3"}, f"cannot parse 'x' at row {B + 5}"),
+        ({2: "nan,2,3", B + 5: "1,2"}, f"row {B + 5} has 2 cells"),
+        ({2: "nan,2,3", B + 5: "1,inf,3"}, "non-finite value nan at row 2, column 1"),
+    ],
+)
+def test_csv_first_bad_row_wins(tmp_path, lines, message):
+    rows = _block_rows(2 * B + 1).splitlines()
+    for r, line in lines.items():
+        rows[r] = line
+    path = tmp_path / "two.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(IngestError, match=message):
+        load_features(path)
+
+
+def test_csv_rows_are_numbered_past_blank_lines_and_the_header(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,b\n\n1,2\n\n\n3,x\n")
+    with pytest.raises(IngestError, match="cannot parse 'x' at row 2, column 2"):
+        load_features(path)
+
+
+@pytest.mark.parametrize(
+    "text,label_column,x",
+    [
+        ("a\n1\n2.5\n", None, [[1.0], [2.5]]),
+        ("a,label\n1,p\n2.5,q\n", "label", [[1.0], [2.5]]),
+        ("label,a\np,1\nq,2.5\n", "label", [[1.0], [2.5]]),
+    ],
+)
+def test_csv_with_one_feature_reads_a_column(tmp_path, text, label_column, x):
+    path = tmp_path / "one.csv"
+    path.write_text(text)
+    if label_column is None:
+        assert load_features(path).tolist() == x
+    else:
+        ds = load_csv(path, label_column=label_column)
+        assert ds.x.tolist() == x
+        assert ds.feature_names == ["a"] and ds.label_names == ["p", "q"]
+
+
+def test_csv_with_a_header_only_or_no_features_is_refused(tmp_path):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("a,b,label\n\n")
+    with pytest.raises(IngestError, match=r"header\.csv has a header but no data rows"):
+        load_csv(header_only, label_column="label")
+    labels_only = tmp_path / "labels.csv"
+    labels_only.write_text("label\np\nq\n")
+    names, x, labels = data._read_csv(labels_only, True, "label")
+    assert names == [] and x.shape == (2, 0) and labels == ["p", "q"]
+    with pytest.raises(ShapeError, match="at least one row and column"):
+        load_csv(labels_only, label_column="label")
+
+
+@pytest.mark.parametrize(
+    "name,content,message",
+    [
+        ("latin1.csv", b"a,b\n1,2\n3,\xe9\n", "latin1.csv is not text"),
+        ("huge.csv", b"a,b\n1," + b"9" * 140_000 + b"\n", "huge.csv cannot be read as CSV: field larger"),
+    ],
+    ids=["undecodable", "oversized-cell"],
+)
+def test_csv_that_cannot_be_read_as_text_is_named(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(IngestError, match=message):
+        load_features(path)
+    with pytest.raises(IngestError, match=rf"{tmp_path.name}.* cannot be read as CSV"):
+        load_features(tmp_path)
+
+
+def test_csv_ingest_peak_memory_is_bounded_by_the_matrix(tmp_path):
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(20_000, 30))
+    lines = [",".join([*(f"f{i}" for i in range(30)), "label"])]
+    lines.extend(",".join([*map(repr, row), "ab"[r % 2]]) for r, row in enumerate(x.tolist()))
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, label_column="label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.x, x)
+    assert peak <= 3 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f}x the matrix"
 
 
 # ---------------------------------------------------------------------------
