@@ -109,36 +109,144 @@ def require_train(view, what):
 # CSV; bounds the cell strings held at once.
 CSV_BLOCK_ROWS = 512
 
+# Characters per block of lines that numpy's C text reader is handed, each
+# block searched once for the characters below.
+C_READER_BLOCK_CHARS = 1 << 16
+
+# numpy's C float parser skips U+001C..U+001F around a number as white space
+# while float() refuses them, so a file holding one is left to csv.reader.
+C_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
 
 def _read_csv(path, has_header, label_column=None):
     """Parse a numeric CSV into (feature names, feature matrix, label cells).
 
-    Every row must have as many cells as the first, and every cell outside
+    The header, when there is one, must have as many cells as the data rows,
+    every row must have as many cells as the first, and every cell outside
     the label column must parse as a finite float. With ``label_column`` None
-    every column is a feature and the label cells come back empty. Blank
-    lines are skipped, and rows are numbered from 1 after the header.
+    every column is a feature and the label cells come back empty; a label
+    column needs at least one feature column beside it. Blank lines are
+    skipped, and rows are numbered from 1 after the header.
 
-    The file is read in one streaming pass. Feature cells are collected in
-    blocks of :data:`CSV_BLOCK_ROWS` rows, and each full block becomes float64
-    in one ``np.array`` call, which parses each string with ``float()``. So
-    the values are those of ``float(cell)``, bit for bit, and only one block
-    of strings is held at a time. A block that fails to convert is scanned
-    again cell by cell, only to name the bad cell. The first bad row wins: a
-    ragged row is reported after the rows before it are converted, and a
-    non-finite value only when every cell parsed. A file that cannot be read
-    as CSV text (a directory, undecodable bytes, a cell over csv's field size
-    limit) is an :class:`IngestError` naming the file.
+    Two readers share this contract. numpy's C text reader is tried first:
+    ``csv.reader`` reads the header and the first data row, and
+    ``np.loadtxt`` reads the data rows from the same handle into a
+    structured array, float64 for the feature columns and ``object`` for the
+    label. It parses each cell with ``PyOS_string_to_double``, the parser
+    ``float()`` ends in, so its values are those of ``float(cell)`` bit for
+    bit. Its result is used only if the call raised nothing, every feature
+    value is finite, no label cell holds a ``"`` and no line holds one of
+    :data:`C_READER_ONLY_SPACE`. Any other file is read again by the
+    streaming reader, and its value or error is returned unchanged, so quoted
+    cells, ``1_0``, non-ASCII digits and every malformed file give the same
+    values, messages, rows and columns on both. One divergence is known: the
+    C reader has no field size limit, so a label or finite feature cell
+    longer than csv's 131,072 characters, past the first data row, is read
+    rather than refused.
+
+    The streaming reader makes one pass over ``csv.reader``. Feature cells
+    are collected in blocks of :data:`CSV_BLOCK_ROWS` rows, and each full
+    block becomes float64 in one ``np.array`` call, which parses each string
+    with ``float()``, so only one block of strings is held at a time. A block
+    that fails to convert is scanned again cell by cell, only to name the bad
+    cell. The first bad row wins: a ragged row is reported after the rows
+    before it are converted, and a non-finite value only when every cell
+    parsed. A file that cannot be read as CSV text (a directory, undecodable
+    bytes, a cell over csv's field size limit) is an :class:`IngestError`
+    naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
     try:
         with path.open(newline="") as fh:
+            read = _read_csv_c(path, fh, has_header, label_column)
+        if read is not None:
+            return read
+        with path.open(newline="") as fh:
             return _parse_csv(path, csv.reader(fh), has_header, label_column)
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path} is not text: {exc}") from exc
     except (OSError, csv.Error) as exc:
         raise IngestError(f"{path} cannot be read as CSV: {exc}") from exc
+
+
+def _csv_columns(path, header, n_cols, label_column):
+    """(label index, feature indices, feature names) for data rows of ``n_cols`` cells."""
+    if header is not None and len(header) != n_cols:
+        raise IngestError(f"{path}: header has {len(header)} cells but row 1 has {n_cols}")
+    label_idx = None
+    if isinstance(label_column, str):
+        if header is None:
+            raise ParameterError("label column by name requires has_header=True")
+        if label_column not in header:
+            raise IngestError(f"{path}: no column named {label_column!r}")
+        label_idx = header.index(label_column)
+    elif label_column is not None:
+        if not -n_cols <= label_column < n_cols:
+            raise IngestError(f"{path}: label column {label_column} out of range")
+        label_idx = label_column % n_cols
+    feature_idx = [i for i in range(n_cols) if i != label_idx]
+    if not feature_idx:
+        raise IngestError(f"{path} has a label column but no feature columns")
+    feature_names = (
+        [header[i] for i in feature_idx] if header else [f"x{i}" for i in feature_idx]
+    )
+    return label_idx, feature_idx, feature_names
+
+
+def _read_csv_c(path, fh, has_header, label_column):
+    """:func:`_read_csv` by numpy's C reader, or None when the streaming reader must decide."""
+    first_lines = []  # the raw lines csv.reader took for the first data row
+
+    def remembered():
+        for line in fh:
+            first_lines.append(line)
+            yield line
+
+    rows = filter(None, csv.reader(remembered()))
+    header = [c.strip() for c in next(rows, ())] if has_header else None
+    first_lines.clear()
+    first = next(rows, None)
+    if first is None:
+        return None
+    label_idx, _, feature_names = _csv_columns(path, header, len(first), label_column)
+    # The feature columns before and after the label are one float64
+    # subarray field each, so two slices give the feature matrix.
+    lead = len(first) if label_idx is None else label_idx
+    fields = [("lead", np.float64, (lead,))]
+    if label_idx is not None:
+        fields += [("label", object), ("rest", np.float64, (len(first) - lead - 1,))]
+    try:
+        table = np.loadtxt(
+            _c_reader_lines(first_lines, fh),
+            dtype=np.dtype(fields),
+            delimiter=",",
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    if label_idx is None:
+        x, raw = table["lead"], []
+    else:
+        x = np.concatenate((table["lead"], table["rest"]), axis=1)
+        raw = table["label"].tolist()
+    if not np.isfinite(x).all() or '"' in "".join(raw):
+        return None
+    return feature_names, x, [cell.strip() for cell in raw]
+
+
+def _c_reader_lines(first_lines, fh):
+    """``first_lines``, then the rest of ``fh`` in blocks; ValueError if any
+    line holds one of :data:`C_READER_ONLY_SPACE`."""
+    block = first_lines
+    while block:
+        text = "".join(block)
+        if any(c in text for c in C_READER_ONLY_SPACE):
+            raise ValueError("a character numpy reads as space and float() refuses")
+        yield from block
+        block = fh.readlines(C_READER_BLOCK_CHARS)
 
 
 def _parse_csv(path, reader, has_header, label_column):
@@ -152,26 +260,10 @@ def _parse_csv(path, reader, has_header, label_column):
         if first is None:
             raise IngestError(f"{path} has a header but no data rows")
     n_cols = len(first)
-
-    label_idx = None
-    if isinstance(label_column, str):
-        if header is None:
-            raise ParameterError("label column by name requires has_header=True")
-        if label_column not in header:
-            raise IngestError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-    elif label_column is not None:
-        if not -n_cols <= label_column < n_cols:
-            raise IngestError(f"{path}: label column {label_column} out of range")
-        label_idx = label_column % n_cols
-
-    feature_idx = [i for i in range(n_cols) if i != label_idx]
-    feature_names = (
-        [header[i] for i in feature_idx] if header else [f"x{i}" for i in feature_idx]
-    )
+    label_idx, feature_idx, feature_names = _csv_columns(path, header, n_cols, label_column)
     # One slice takes the features unless a label column splits them; a
     # slice also keeps a single feature a one-cell row rather than a string.
-    lo, hi = (feature_idx[0], feature_idx[-1] + 1) if feature_idx else (0, 0)
+    lo, hi = feature_idx[0], feature_idx[-1] + 1
     pick = itemgetter(slice(lo, hi)) if hi - lo == len(feature_idx) else itemgetter(*feature_idx)
 
     def convert(block, done):

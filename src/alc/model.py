@@ -254,6 +254,10 @@ class TrainingObjective:
                 f"training set {self.x.shape} with targets {self.y_onehot.shape} "
                 f"does not fit a model with {f} features and {o} classes"
             )
+        # Phase-1 output of the last population, reused while its shape holds:
+        # a fresh array per epoch is returned to the OS when freed and
+        # page-faulted back in by the next epoch.
+        self._hidden = None
 
     def __call__(self, vec):
         return objective(vec, self.x, self.y_onehot, self.variant_model)
@@ -281,7 +285,10 @@ class TrainingObjective:
         if vm.tag == "phase2-only":
             hidden = self.x @ feature_embedding_map(f, p)
         else:
-            hidden = _stacked_phase(self.x, cofactor)
+            shape = (*cofactor.shape[:-2], self.x.shape[0], p)
+            if self._hidden is None or self._hidden.shape != shape:
+                self._hidden = np.empty(shape)
+            hidden = _stacked_phase(self.x, cofactor, out=self._hidden)
             np.maximum(hidden, 0.0, out=hidden)
         if vm.tag == "phase1-only":
             scores = np.matmul(hidden, lobule_average_map(p, o))
@@ -290,9 +297,9 @@ class TrainingObjective:
         return metrics.log_loss_stack(self.y_onehot, numkit.softmax_last(scores))
 
 
-def _stacked_phase(inputs, weights):
+def _stacked_phase(inputs, weights, out=None):
     """:func:`phase1` / :func:`phase2` on one weight matrix or an ``(agents, rows, cols)`` stack."""
-    out = np.matmul(inputs, weights)
+    out = np.matmul(inputs, weights, out=out)
     out /= weights.shape[-2]
     out += weights.mean(axis=(-2, -1), keepdims=True)
     return out

@@ -302,6 +302,27 @@ def test_predict_unreadable_data_file_exits_3(tmp_path, capsys, kind, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text,extra,message",
+    [
+        ("a,b\n1,2,3\n", [], "header has 2 cells but row 1 has 3"),
+        ("a,b,label\n1,2\n", ["--label-column", "label"], "header has 3 cells but row 1 has 2"),
+        ("a,b,c,label\n1,2,x\n", ["--label-column", "label"], "header has 4 cells but row 1 has 3"),
+    ],
+    ids=["narrow", "narrow-labelled", "wide-labelled"],
+)
+def test_predict_header_width_mismatch_exits_3(tmp_path, capsys, text, extra, message):
+    params = model.AlcParams(2, 3, 2, np.zeros((2, 3)), np.zeros((3, 2)))
+    model_path = tmp_path / "m.json"
+    model.save_model(params, {"seed": 0, "epochs": 1, "agents": 2, "dataset_id": "x"}, model_path)
+    data_path = tmp_path / "requests.csv"
+    data_path.write_text(text)
+    assert run_cli("predict", "--model", str(model_path), "--data", str(data_path), *extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_path}: {message}")
+    assert "Traceback" not in err
+
+
 def test_predict_bad_model_file(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{}")

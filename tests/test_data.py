@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from alc.data import (
     stratified_kfold,
     stratified_subsample,
 )
-from alc.errors import AuditError, IngestError, ParameterError, ShapeError
+from alc.errors import AuditError, IngestError, ParameterError
 from alc.numkit import RngStream
 from idx_files import write_idx_images, write_idx_labels
 
@@ -183,6 +184,104 @@ def test_csv_odd_cells_read_as_float_reads_them(tmp_path, cell):
     assert np.array_equal(_bits(load_features(path)), _bits([[1.0, float(cell)]]))
 
 
+@pytest.mark.parametrize("cell", ["1\x1c", "\x1d2", "\x1e3\x1e", "4\x1f"])
+def test_csv_cells_padded_with_separators_are_refused_as_float_refuses_them(tmp_path, cell):
+    # numpy's C reader skips U+001C..U+001F as white space; float() does not.
+    path = tmp_path / "sep.csv"
+    path.write_text(f"a,b\n1,{cell}\n")
+    with pytest.raises(IngestError, match=r"cannot parse .* at row 1, column 2"):
+        load_features(path)
+
+
+def test_csv_cell_over_the_field_limit_past_row_one_is_read(tmp_path):
+    # The known divergence from csv.reader: the C reader has no field size limit.
+    cell = "0." + "0" * 140_000 + "1"
+    path = tmp_path / "long.csv"
+    path.write_text(f"a,b\n1,2\n3,{cell}\n")
+    assert np.array_equal(_bits(load_features(path)), _bits([[1.0, 2.0], [3.0, float(cell)]]))
+
+
+# Cells and lines the C reader refuses or must not take, so the streaming
+# reader decides; each marks its file as not clean.
+SPOILED_CELLS = ['"1.5"', "1_0", "\uff13", "nan", "1e999", "-inf", "\x1c1", "1\x1f", "abc", "", "0x10"]
+SPOILED_LABELS = ['"p"', '"p,q"', 'p"q']
+SPOILED_LINES = ["   ", "ragged-short", "ragged-long"]
+CLEAN_PADS = ("{}", " {} ", "\u00a0{}\u00a0", "\t{}")
+
+
+@st.composite
+def csv_files(draw):
+    """(text, has_header, label_column, clean): a small CSV, its read arguments,
+    and whether the C reader must take it."""
+    n_features = draw(st.integers(1, 3))
+    label_idx = draw(st.sampled_from([None, 0, min(1, n_features), n_features]))
+    n_cols = n_features + (label_idx is not None)
+    has_header = draw(st.booleans())
+    label_column = None
+    if label_idx is not None:
+        label_column = draw(
+            st.sampled_from([label_idx, label_idx - n_cols] + ["label"] * has_header)
+        )
+    clean = True
+    rows = []
+    for r in range(draw(st.sampled_from([0, 1, 2, 7]))):
+        cells = [
+            draw(st.sampled_from(CLEAN_PADS)).format(draw(st.sampled_from(CELL_FORMATS))(v))
+            for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=n_features, max_size=n_features))
+        ]
+        if label_idx is not None:
+            cells.insert(label_idx, draw(st.sampled_from(["p", "q", " r ", ""])))
+        rows.append(cells)
+    if not rows:
+        clean = False
+    for r in draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)) if rows else ():
+        kind = draw(st.sampled_from(["cell", "label", "line"]))
+        if kind == "label" and label_idx is not None:
+            rows[r][label_idx] = draw(st.sampled_from(SPOILED_LABELS))
+        elif kind == "line":
+            line = draw(st.sampled_from(SPOILED_LINES))
+            rows[r] = {"ragged-short": rows[r][:-1], "ragged-long": rows[r] + ["1"]}.get(line, [line])
+        else:
+            j = draw(st.sampled_from([i for i in range(n_cols) if i != label_idx]))
+            rows[r][j] = draw(st.sampled_from(SPOILED_CELLS))
+        clean = False
+    lines = [",".join(cells) for cells in rows]
+    if has_header:
+        header = [f"h{i}" for i in range(n_cols)]
+        if label_idx is not None:
+            header[label_idx] = "label"
+        width = draw(st.sampled_from([n_cols] * 4 + [n_cols - 1, n_cols + 1]))
+        clean &= width == n_cols
+        lines.insert(0, ",".join((header + ["extra"])[:width]))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline * draw(st.booleans()), has_header, label_column, clean
+
+
+def _read_outcome(path, has_header, label_column):
+    try:
+        names, x, labels = data._read_csv(path, has_header, label_column)
+    except (IngestError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return names, x.shape, _bits(x).tobytes(), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+def test_c_reader_and_streaming_reader_agree(tmp_path_factory, case):
+    text, has_header, label_column, clean = case
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_text(text, newline="")
+    with mock.patch.object(data, "_read_csv_c", return_value=None):
+        streamed = _read_outcome(path, has_header, label_column)
+    assert _read_outcome(path, has_header, label_column) == streamed
+    if clean:
+        with path.open(newline="") as fh:
+            assert data._read_csv_c(path, fh, has_header, label_column) is not None
+
+
 def _block_rows(n_rows, bad_row=None, bad_line=None):
     """An unlabelled 3-column CSV of ``n_rows`` data rows; ``bad_row`` (1-based) is replaced."""
     lines = ["a,b,c"]
@@ -265,9 +364,7 @@ def test_csv_with_a_header_only_or_no_features_is_refused(tmp_path):
         load_csv(header_only, label_column="label")
     labels_only = tmp_path / "labels.csv"
     labels_only.write_text("label\np\nq\n")
-    names, x, labels = data._read_csv(labels_only, True, "label")
-    assert names == [] and x.shape == (2, 0) and labels == ["p", "q"]
-    with pytest.raises(ShapeError, match="at least one row and column"):
+    with pytest.raises(IngestError, match=r"labels\.csv has a label column but no feature columns"):
         load_csv(labels_only, label_column="label")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,7 +322,30 @@ def training_problems(draw):
 @given(training_problems())
 def test_population_is_bit_equal_to_per_agent_calls(problem):
     obj, positions = problem
-    assert np.array_equal(obj.population(positions), [obj(v) for v in positions])
+    expected = [obj(v) for v in positions]
+    assert np.array_equal(obj.population(positions), expected)
+    # a second call reuses the phase-1 buffer of the first
+    assert np.array_equal(obj.population(positions[::-1]), expected[::-1])
+
+
+def test_population_reuses_its_phase1_array():
+    # breast_cancer training shapes: 512 rows, 30 features, 10 lobules, 10 agents
+    n, f, p, o, agents = 512, 30, 10, 2, 10
+    rng = np.random.default_rng(0)
+    vm = make_variant(make_params(f, p, o), "full")
+    obj = TrainingObjective(rng.normal(size=(n, f)), np.eye(o)[rng.integers(0, o, n)], vm)
+    positions = rng.uniform(-1.0, 1.0, (agents, trainable_size(vm)))
+    obj.population(positions)
+    tracemalloc.start()
+    try:
+        obj.population(positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Softmax and log-loss temporaries add about one more phase-1 array at
+    # these shapes, so a freshly allocated phase-1 array ends near 2x.
+    phase1_bytes = agents * n * p * 8
+    assert peak < 1.5 * phase1_bytes, f"second call peaked at {peak / phase1_bytes:.2f}x the phase-1 array"
 
 
 @settings(max_examples=20, deadline=None)
