@@ -9,7 +9,7 @@ cross-validation tables because timings cannot repeat.
 The golden files were written by these same helpers; a deliberate change in
 results means writing new files from :func:`crossval_outputs`,
 :func:`ablation_outputs`, :func:`optbench_outputs`, :func:`fox_outputs` and
-:func:`suite_outputs` in a commit of its own.
+:func:`suite_outputs` and :func:`optimizer_outputs` in a commit of its own.
 """
 
 from pathlib import Path
@@ -27,7 +27,7 @@ from alc.experiments import (
     write_crossval_reports,
     write_optbench_reports,
 )
-from alc.optimizers import OptimizerConfig, optimize_fox
+from alc.optimizers import OPTIMIZERS, OptimizerConfig, optimize_fox
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,6 +91,40 @@ def fox_outputs(out_dir):
     return {"fox_shifted_sphere.csv": ("\n".join(lines) + "\n").encode()}
 
 
+def optimizer_outputs(out_dir):
+    """300-epoch runs of every optimizer on a sphere centred at 0.3, from a box that excludes it.
+
+    Dims 4 and 70 with 2, 10 and 33 agents: long enough that each run's unit
+    draws span many epochs and, at the small shapes, more than one draw block.
+    The history is written as the epochs where the incumbent improved, which
+    fixes every other epoch's value. FOX stops improving within a few epochs,
+    so each run also pins the sum of every value it evaluated, in call order,
+    which depends on every epoch's moves.
+    """
+    lines = ["optimizer,dim,agents,epoch,value"]
+    for name, optimize in OPTIMIZERS.items():
+        for dim in (4, 70):
+            for agents in (2, 10, 33):
+                evaluated = [0.0]
+
+                def sphere(v):
+                    value = float(((v - 0.3) ** 2).sum())
+                    evaluated[0] += value
+                    return value
+
+                cfg = OptimizerConfig(epochs=300, agents=agents, dim=dim, lower=0.5, upper=2.0, seed=15)
+                run = optimize(sphere, cfg)
+                tag = f"{name},{dim},{agents}"
+                lines.append(f"{tag},best_x," + ",".join(repr(float(v)) for v in run.best_x))
+                lines.append(f"{tag},evaluated,{evaluated[0]!r}")
+                lines += [
+                    f"{tag},{epoch},{float(f)!r}"
+                    for epoch, f in enumerate(run.history)
+                    if epoch == 0 or f != run.history[epoch - 1]
+                ]
+    return {"optimizer_runs.csv": ("\n".join(lines) + "\n").encode()}
+
+
 def seeded_transform(rng, dim):
     """Shift uniform in [-80, 80]^dim; rotation the sign-fixed Q of a Gaussian draw."""
     shift = rng.uniform(-80.0, 80.0, dim)
@@ -121,7 +155,8 @@ def suite_outputs(out_dir):
 
 
 @pytest.mark.parametrize(
-    "produce", [crossval_outputs, ablation_outputs, optbench_outputs, fox_outputs, suite_outputs]
+    "produce",
+    [crossval_outputs, ablation_outputs, optbench_outputs, fox_outputs, suite_outputs, optimizer_outputs],
 )
 def test_reports_match_golden_files(tmp_path, produce):
     for name, produced in produce(tmp_path).items():
