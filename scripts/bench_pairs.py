@@ -8,7 +8,9 @@ Each pair runs ``perfbench/run.py`` once from each checkout, one after the
 other: odd pairs run the parent first, even pairs the change first. Every
 run's ``# digest`` and final result line go to ``--out``, with a summary per
 (workload, seed, trace) set: each metric's quartiles on either side, the
-number of pairs the change won, and the ratio of the medians. An existing
+number of pairs the change won, and the ratio of the medians. A pair with a
+failed run is left out of the quartiles; its failed runs are counted per side
+under ``failed`` and make the set's ``correct`` false. An existing
 ``--out`` is extended rather than replaced, so workloads can be run one at a
 time into one file; it is rewritten after every run, so an interrupted
 session keeps what it measured. Which direction is better for each metric
@@ -64,6 +66,7 @@ def summarize(runs, directions):
     summary = {}
     for key, pairs in sets.items():
         whole = [p for p in pairs.values() if all(s in p and p[s]["result"] for s in ("parent", "change"))]
+        failed = {side: sum(side in p and not p[side]["result"] for p in pairs.values()) for side in ("parent", "change")}
         digests = {side: sorted({p[side]["digest"] for p in pairs.values() if side in p}) for side in ("parent", "change")}
         metrics = {}
         for name, better in directions.items():
@@ -86,7 +89,9 @@ def summarize(runs, directions):
             "pairs": len(whole),
             "digests": digests,
             "digests_equal": digests["parent"] == digests["change"],
-            "correct": all(p[s]["result"]["correct"] for p in whole for s in ("parent", "change")),
+            "failed": failed,
+            "correct": not any(failed.values())
+            and all(p[s]["result"]["correct"] for p in whole for s in ("parent", "change")),
             "metrics": metrics,
         }
     return summary

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -101,23 +102,32 @@ def _shrunk(x, rate, transform):
     return np.matmul(transform.rotation, ((x - transform.shift) * rate)[:, :, None])[..., 0]
 
 
-def _chebyshev(x, transform):
-    a, d = x.shape
+@lru_cache(maxsize=8)
+def _chebyshev_grid(d):
+    """F1's sample grid on [-1, 1] followed by the two edge points, and the edge bound.
+
+    Built once per dimension and returned read-only.
+    """
     lo, hi = 1.0, 1.2
     for _ in range(d - 2):
         lo, hi = hi, 2.4 * hi - lo
-    bound = hi
     sample = 32 * d
-    # the sample grid on [-1, 1] and then the two edge points, in one Horner pass
     ys = np.append(-1.0 + np.arange(sample + 1) * (2.0 / sample), (-1.2, 1.2))
-    px = np.zeros((a, ys.size))
+    ys.setflags(write=False)
+    return ys, hi
+
+
+def _chebyshev(x, transform):
+    ys, bound = _chebyshev_grid(x.shape[1])
+    # the grid and then the two edge points, in one Horner pass
+    px = np.zeros((len(x), ys.size))
     for c in x.T:
         px *= ys
         px += c[:, None]
     grid = np.abs(px[:, :-2])
     sq = (1.0 - grid) ** 2
     # each row sums its own compacted values: a masked full-row sum adds in another order
-    penalty = [float(row[keep].sum()) for row, keep in zip(sq, grid > 1.0)]
+    penalty = [float(np.add.reduce(row[keep])) for row, keep in zip(sq, grid > 1.0)]
     for k, edges in enumerate(px[:, -2:].tolist()):
         for edge in edges:
             if edge < bound:

@@ -88,6 +88,10 @@ class RngStream:
     def uniform(self, lo, hi, size=None):
         return self._gen.uniform(lo, hi, size=size)
 
+    def random(self, size=None):
+        """Unit draws in [0, 1): the same doubles as ``uniform(0.0, 1.0, size)``."""
+        return self._gen.random(size)
+
     def shuffle(self, a):
         self._gen.shuffle(a)
 

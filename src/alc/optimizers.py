@@ -5,7 +5,8 @@ stream, draws the initial population uniformly in the init box, evaluates
 every agent once per epoch (aborting on a non-finite value, naming the first
 bad agent), keeps the incumbent, the per-epoch best-fitness history, the
 evaluation count and the timing. The incumbent moves only to a strictly lower
-value, and among equal minima the lowest agent index wins.
+value, and among equal minima (0.0 and -0.0 included) the lowest agent index
+wins: ``min(values)`` and then ``values.index(low)``.
 
 An objective is a callable ``f(vec) -> float`` on one ``(dim,)`` vector. It
 may also offer ``f.population(positions)``, mapping the whole ``(agents, dim)``
@@ -15,27 +16,56 @@ epoch instead of one per agent. Its values must be bit-equal to
 incumbent whichever path it takes. ``model.TrainingObjective`` and the
 benchmark suite's ``cec2019.SuiteObjective`` both offer one.
 
-An algorithm only supplies ``step(epoch, best_x, rng)``, which returns the
-next ``(agents, dim)`` population from one block of unit draws per epoch:
+An algorithm supplies its unit draws per epoch and two functions:
+
+* ``terms(first, u)`` turns a block of unit draws ``u``, one
+  ``(count, per_epoch)`` array for the epochs ``first .. first + count - 1``,
+  into one tuple of terms per epoch: everything that depends only on the draws
+  and the epoch number, computed for the whole block with a few vectorised
+  ops;
+* ``move(best_x, *terms)`` is the rest of one epoch's step, the arithmetic on
+  the incumbent, and returns the next ``(agents, dim)`` population.
+
+``_drive`` draws a block with one ``rng.random((count, per_epoch))`` call: as
+many epochs as fit in ``_BLOCK_DRAWS`` draws (32 KB), or one epoch when a
+single epoch needs more. The previous block is released before the next is
+drawn, so a run holds one block at a time. No step follows the last epoch,
+whose moves would never be scored.
 
 * ``optimize_ifox`` is the improved fox-hunting search: a single incumbent, an
   annealed step-size alpha that decays from 1 to 1/(2*epochs), and per agent
   either an additive perturbation around the incumbent (probability alpha) or
   a multiplicative contraction of the incumbent scaled by the epoch jump term.
-  Per epoch it draws ``dim`` times for the jump term, then an
+  Per epoch it draws ``dim`` numbers for the jump term, then an
   ``(agents, dim + 1)`` block: beta in the first ``dim`` columns, the branch
-  draw in the last.
+  draw in the last. Its terms are the scaled betas, the explore mask and the
+  jump term.
 * ``optimize_fox`` is the original algorithm kept as a baseline: a static
   50/50 split between an exploitation move built from distance and jump terms
   and an exploration move scaled by the running minimum mean time. Per epoch
   it draws an ``(agents, 2 * dim + 2)`` block: times, branch, direction, walk.
-  Every draw is taken whichever branch fires.
+  Every draw is taken whichever branch fires. Its terms are the jump term,
+  direction, walk, branch mask, running minimum time and adjustment.
 * ``optimize_random`` is plain random search with the same evaluation budget,
-  kept as a control; its step is a fresh box draw.
+  kept as a control; its terms are the fresh box draws, and its move ignores
+  the incumbent.
+
+Results are bit-identical to drawing and stepping one epoch at a time, which
+rests on these rules:
+
+* ``Generator.random`` gives the same doubles as ``uniform(0.0, 1.0)``, and one
+  ``(count, per_epoch)`` draw equals ``count`` consecutive per-epoch draws, in
+  order;
+* a box draw keeps the arithmetic of ``rng.uniform``: ``lower + (upper - lower) * u``;
+* a mean is ``np.add.reduce(..., axis=-1) / count``: a sum over the last axis
+  of contiguous rows has the bits of the 1-D sum ``ndarray.mean`` takes;
+* every elementwise op keeps its operand order, so ``0.5 * best_x * scaled /
+  jump`` runs as ``((0.5 * best_x) * scaled) / jump``, never with the
+  per-block factors combined first.
 
 Agents are deliberately not clamped back into the init box after moves; the
 box only shapes the initial population. Draws come from one stream per run in
-a fixed order (epoch-major, agent-minor within each block), so results are
+a fixed order (epoch-major, agent-minor within each epoch), so results are
 fully determined by the config.
 """
 
@@ -101,12 +131,19 @@ def jump(t):
     return GRAVITY_HALF * t * t
 
 
-def _drive(name, objective, cfg, step):
+# Unit draws per block (32 KB of float64): big enough to amortise the call,
+# small enough to leave a run's peak memory where per-epoch draws had it.
+_BLOCK_DRAWS = 4096
+
+
+def _drive(name, objective, cfg, per_epoch, terms, move):
     """The epoch loop shared by every optimizer (see the module docstring)."""
     start = time.perf_counter()
     rng = RngStream(cfg.seed)
     positions = rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
     population = getattr(objective, "population", None)
+    block = max(1, _BLOCK_DRAWS // per_epoch)
+    last = cfg.epochs - 1
     best_x = None
     best_f = math.inf
     history = np.empty(cfg.epochs)
@@ -120,19 +157,26 @@ def _drive(name, objective, cfg, step):
                     f"{name}: population gave shape {scored.shape}, expected ({cfg.agents},)"
                 )
             values = scored.tolist()
-        bad = [a for a, value in enumerate(values) if not math.isfinite(value)]
-        if bad:
+        if not all(map(math.isfinite, values)):
+            a = next(a for a, value in enumerate(values) if not math.isfinite(value))
             raise NumericError(
-                f"{name}: objective returned {values[bad[0]]!r} at epoch {epoch}, agent {bad[0]}"
+                f"{name}: objective returned {values[a]!r} at epoch {epoch}, agent {a}"
             )
-        # Python lists beat numpy reductions at a few dozen agents; min keeps
-        # the first agent among equal minima.
-        a = min(range(cfg.agents), key=values.__getitem__)
-        if values[a] < best_f:
-            best_f = values[a]
-            best_x = positions[a].copy()
+        # Python lists beat numpy reductions at a few dozen agents; min and
+        # index both keep the first agent among equal minima.
+        low = min(values)
+        if low < best_f:
+            best_f = low
+            best_x = positions[values.index(low)].copy()
         history[epoch] = best_f
-        positions = step(epoch, best_x, rng)
+        if epoch == last:
+            break
+        i = epoch % block
+        if i == 0:
+            # the spent block (positions may be a view of it) goes before the next is drawn
+            planned = positions = None
+            planned = terms(epoch, rng.random((min(block, last - epoch), per_epoch)))
+        positions = move(best_x, *planned[i])
     return OptimizerRun(
         best_x=best_x,
         best_f=best_f,
@@ -143,49 +187,77 @@ def _drive(name, objective, cfg, step):
 
 
 def optimize_ifox(objective, cfg):
-    def step(epoch, best_x, rng):
-        alpha = alpha_schedule(epoch, cfg.epochs)
-        jump_term = jump(0.5 * rng.uniform(0.0, 1.0, cfg.dim).mean())
-        u = rng.uniform(0.0, 1.0, (cfg.agents, cfg.dim + 1))
-        # lo + (hi - lo) * u is the arithmetic of rng.uniform(lo, hi) itself
-        beta = -alpha + (alpha - -alpha) * u[:, : cfg.dim]
-        scaled = beta * alpha
-        explore = u[:, cfg.dim, None] < alpha
-        return np.where(explore, best_x + scaled, 0.5 * best_x * scaled / jump_term)
+    dim = cfg.dim
 
-    return _drive("ifox", objective, cfg, step)
+    def terms(first, u):
+        epochs = range(first, first + len(u))
+        alpha = np.array([alpha_schedule(epoch, cfg.epochs) for epoch in epochs])[:, None, None]
+        means = np.add.reduce(u[:, :dim], axis=-1) / dim
+        jump_term = [jump(0.5 * mean) for mean in means.tolist()]
+        u = u[:, dim:].reshape(len(u), cfg.agents, dim + 1)
+        # beta is lo + (hi - lo) * u, the arithmetic of rng.uniform(lo, hi), added
+        # in place (the sum's bits do not depend on operand order); then times alpha
+        scaled = (alpha - -alpha) * u[..., :dim]
+        scaled += -alpha
+        scaled *= alpha
+        explore = u[..., dim:] < alpha
+        return list(zip(scaled, explore, jump_term))
+
+    def move(best_x, scaled, explore, jump_term):
+        out = (0.5 * best_x) * scaled
+        out /= jump_term
+        np.add(best_x, scaled, out=out, where=explore)
+        return out
+
+    return _drive("ifox", objective, cfg, dim + cfg.agents * (dim + 1), terms, move)
 
 
 def optimize_fox(objective, cfg):
+    dim, agents = cfg.dim, cfg.agents
     min_time = 1.0
 
-    def step(epoch, best_x, rng):
+    def terms(first, u):
         nonlocal min_time
-        # 1-based iteration in the exploration adjustment term
-        adjustment = 2.0 * ((epoch + 1) - 1.0 / cfg.epochs)
-        u = rng.uniform(0.0, 1.0, (cfg.agents, 2 * cfg.dim + 2))
-        mean_time = u[:, : cfg.dim].mean(axis=1)
-        branch = u[:, cfg.dim, None]
-        direction = np.where(u[:, cfg.dim + 1] > 0.18, 0.18, 0.82)
-        walk = u[:, cfg.dim + 2 :]
+        u = u.reshape(len(u), agents, 2 * dim + 2)
+        mean_time = np.add.reduce(u[..., :dim], axis=-1) / dim
         # Exploitation: sound-travel distance reduces to the incumbent itself
         # (time cancels), then scale by jump and direction.
-        jump_term = GRAVITY_HALF * 0.5 * mean_time * mean_time
-        exploit = 0.5 * best_x * jump_term[:, None] * direction[:, None]
-        explore = best_x * walk * min_time * adjustment
-        min_time = min(min_time, float(mean_time.mean()))
-        return np.where(branch < 0.5, exploit, explore)
+        jump_term = (GRAVITY_HALF * 0.5 * mean_time * mean_time)[..., None]
+        direction = np.where(u[..., dim + 1] > 0.18, 0.18, 0.82)[..., None]
+        walk = u[..., dim + 2 :]
+        mask = u[..., dim, None] < 0.5
+        # min_time before each epoch: the running minimum of the epochs' mean times
+        running = np.minimum.accumulate(
+            np.concatenate(([min_time], np.add.reduce(mean_time, axis=-1) / agents))
+        )
+        min_time = running[-1]
+        # 1-based iteration in the exploration adjustment term
+        adjustment = 2.0 * (np.arange(first + 1, first + 1 + len(u)) - 1.0 / cfg.epochs)
+        return list(zip(jump_term, direction, walk, mask, running[:-1], adjustment))
 
-    return _drive("fox", objective, cfg, step)
+    def move(best_x, jump_term, direction, walk, mask, min_time, adjustment):
+        explore = best_x * walk
+        explore *= min_time
+        explore *= adjustment
+        exploit = (0.5 * best_x) * jump_term
+        exploit *= direction
+        np.copyto(explore, exploit, where=mask)
+        return explore
+
+    return _drive("fox", objective, cfg, agents * (2 * dim + 2), terms, move)
 
 
 def optimize_random(objective, cfg):
     """Uniform random search in the box; control with the same budget."""
+    lower, upper = float(cfg.lower), float(cfg.upper)  # rng.uniform's bounds are doubles too
 
-    def step(epoch, best_x, rng):
-        return rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
+    def terms(first, u):
+        # lo + (hi - lo) * u, the arithmetic of rng.uniform(lo, hi), in place
+        u *= upper - lower
+        u += lower
+        return list(zip(u.reshape(len(u), cfg.agents, cfg.dim)))
 
-    return _drive("random", objective, cfg, step)
+    return _drive("random", objective, cfg, cfg.agents * cfg.dim, terms, lambda best_x, box: box)
 
 
 OPTIMIZERS = {

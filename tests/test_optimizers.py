@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from alc import optimizers
 from alc.errors import NumericError, ParameterError, ShapeError
 from alc.optimizers import (
     OPTIMIZERS,
@@ -198,3 +201,90 @@ def test_multi_run_unknown_optimizer():
         multi_run("annealing", sphere, cfg_for(), runs=2)
     with pytest.raises(ParameterError):
         multi_run("ifox", sphere, cfg_for(), runs=0)
+
+
+class ShiftedSphere:
+    """Sphere centred at 0.3; ``population`` scores rows bit-equal to one-by-one calls."""
+
+    def __call__(self, x):
+        return float(((x - 0.3) ** 2).sum())
+
+    def population(self, positions):
+        return ((positions - 0.3) ** 2).sum(axis=-1)
+
+
+def draws_per_epoch(name, cfg):
+    return {
+        "ifox": cfg.dim + cfg.agents * (cfg.dim + 1),
+        "fox": cfg.agents * (2 * cfg.dim + 2),
+        "random": cfg.agents * cfg.dim,
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_runs_do_not_depend_on_the_draw_block_size(monkeypatch, name):
+    cfg = cfg_for(dim=4, epochs=60, agents=5, lower=0.5, upper=2.0)
+    reference = OPTIMIZERS[name](ShiftedSphere(), cfg)
+    per_epoch = draws_per_epoch(name, cfg)
+    # one epoch a block, one with draws to spare, three a block (60 - 1 steps
+    # leave a short last block), and the whole run in one block
+    for block_draws in (1, per_epoch + 1, 3 * per_epoch + 1, 10**9):
+        monkeypatch.setattr(optimizers, "_BLOCK_DRAWS", block_draws)
+        for objective in (ShiftedSphere(), ShiftedSphere().__call__):
+            run = OPTIMIZERS[name](objective, cfg)
+            assert run.best_x.tobytes() == reference.best_x.tobytes(), block_draws
+            assert run.history.tobytes() == reference.history.tobytes(), block_draws
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-agent", "population"])
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_non_finite_agent_is_named_after_many_small_blocks(monkeypatch, name, batched):
+    monkeypatch.setattr(optimizers, "_BLOCK_DRAWS", 7)
+    cfg = cfg_for(epochs=60, agents=6)
+    calls = [0]
+
+    def objective(x):
+        epoch, agent = divmod(calls[0], cfg.agents)
+        calls[0] += 1
+        return float("nan") if (epoch, agent) == (37, 4) else sphere(x)
+
+    if batched:
+        epochs = iter(range(cfg.epochs))
+
+        def population(positions):
+            values = (positions * positions).sum(axis=-1)
+            if next(epochs) == 37:
+                values[4] = np.nan
+            return values
+
+        objective.population = population
+    with pytest.raises(NumericError, match=rf"^{name}: objective returned nan at epoch 37, agent 4$"):
+        OPTIMIZERS[name](objective, cfg)
+
+
+def traced_peak(optimize, objective, cfg):
+    optimize(objective, cfg)  # warm up caches and lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        optimize(objective, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Traced peak of a dim-2000, 10-agent run, in populations (10 * 2000 * 8 bytes),
+# when each epoch drew its own unit numbers (numpy 2.4): (population path, per-agent path).
+PER_EPOCH_DRAW_PEAKS = {"ifox": (7.18, 7.18), "fox": (6.18, 6.18), "random": (3.11, 2.11)}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_draw_blocks_keep_peak_memory_bounded(name):
+    cfg = cfg_for(dim=2000, epochs=5, agents=10, lower=0.5, upper=2.0)
+    for objective, before in zip((ShiftedSphere(), ShiftedSphere().__call__), PER_EPOCH_DRAW_PEAKS[name]):
+        peak = traced_peak(OPTIMIZERS[name], objective, cfg)
+        assert peak <= 1.1 * before * cfg.agents * cfg.dim * 8
+    # a longer run holds one block of draws at a time (tens of KB here): only its history grows
+    short, long = (
+        traced_peak(OPTIMIZERS[name], ShiftedSphere(), cfg_for(dim=10, epochs=e, agents=10)) for e in (50, 500)
+    )
+    assert long - short <= (500 - 50) * 8 + 4096  # the history, and some small Python objects
