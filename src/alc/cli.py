@@ -55,8 +55,12 @@ def read_config_file(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read as text: {exc}") from None
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -111,9 +115,20 @@ def _add_common_experiment_flags(parser):
     parser.add_argument("--data-dir", dest="data_dir", help="dataset cache override")
 
 
+def _report_dir(args, name):
+    """``<--out-dir>/<name>``, made now so that a bad path fails before any training."""
+    path = Path(args.out_dir) / name
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir: cannot make report directory {path}: {exc}") from None
+    return path
+
+
 def _cmd_crossval(args):
     cfg = _build_experiment_config(args)
     dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
+    grid = None
     if args.lobule_grid:
         try:
             grid = [int(v) for v in args.lobule_grid.split(",") if v.strip()]
@@ -121,6 +136,8 @@ def _cmd_crossval(args):
             raise ConfigError(
                 f"--lobule-grid takes a comma list of integers, got {args.lobule_grid!r}"
             ) from None
+    out_dir = _report_dir(args, f"crossval_{cfg.dataset_id}")
+    if grid is not None:
         result, rows = experiments.lobule_grid_search(cfg, grid or None, dataset=dataset, jobs=args.jobs)
         for p, acc, _ in rows:
             print(f"lobules={p}: mean validation accuracy {acc:.4f}")
@@ -128,9 +145,7 @@ def _cmd_crossval(args):
         print(f"selected lobules={cfg.lobules}")
     else:
         result = experiments.run_crossval(cfg, dataset=dataset, jobs=args.jobs)
-    out = experiments.write_crossval_reports(
-        result, Path(args.out_dir) / f"crossval_{cfg.dataset_id}", fmt=args.format
-    )
+    out = experiments.write_crossval_reports(result, out_dir, fmt=args.format)
     m = result.mean
     print(
         f"{cfg.dataset_id}: loss={m.loss:.4f} accuracy={m.accuracy:.4f} "
@@ -146,13 +161,12 @@ def _cmd_ablate(args):
         raise ConfigError("ablate runs every variant; remove --variant and any 'variant =' config line")
     cfg = _build_experiment_config(args)
     dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
+    out_dir = _report_dir(args, f"ablation_{cfg.dataset_id}")
     results = experiments.run_ablation(cfg, dataset=dataset, jobs=args.jobs)
     coerced = results["identity-vitamin"].config.lobules
     if coerced != cfg.lobules:
         print(f"identity-vitamin needs lobules == classes; using lobules={coerced} for that row")
-    out = experiments.write_ablation_reports(
-        results, Path(args.out_dir) / f"ablation_{cfg.dataset_id}", fmt=args.format
-    )
+    out = experiments.write_ablation_reports(results, out_dir, fmt=args.format)
     for tag, result in results.items():
         m = result.mean
         print(f"{tag:17s} loss={m.loss:.4f} accuracy={m.accuracy:.4f} gap={m.overfitting_gap:+.4f}")
@@ -165,10 +179,13 @@ def _cmd_optbench(args):
     optimizer_ids = tuple(v.strip() for v in args.optimizers.split(",") if v.strip())
     transforms = {}
     if args.transform_dir:
+        if not Path(args.transform_dir).is_dir():
+            raise ParameterError(f"--transform-dir {args.transform_dir} is not a directory")
         for fid in function_ids:
             path = Path(args.transform_dir) / f"{fid}.txt"
             if path.exists():
                 transforms[fid] = cec2019.load_transform(path, cec2019.suite_info(fid).dim)
+    out_dir = _report_dir(args, "optbench")
     result = experiments.run_optbench(
         function_ids=function_ids,
         optimizer_ids=optimizer_ids,
@@ -179,7 +196,7 @@ def _cmd_optbench(args):
         jobs=args.jobs,
         transforms=transforms,
     )
-    out = experiments.write_optbench_reports(result, Path(args.out_dir) / "optbench", fmt=args.format)
+    out = experiments.write_optbench_reports(result, out_dir, fmt=args.format)
     for row in result.stats:
         print(
             f"{row['function']:4s} {row['optimizer']:7s} "

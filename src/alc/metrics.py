@@ -21,22 +21,36 @@ CLIP = 1e-15
 
 
 def log_loss(y_onehot, probs):
-    """Mean negative log-likelihood, probabilities clipped away from 0 and 1."""
+    """Mean negative log-likelihood, probabilities clipped away from 0 and 1.
+
+    Only the true class of each row contributes, so ``y_onehot`` must hold
+    one-hot rows; anything else raises :class:`ParameterError`.
+    """
     y = np.asarray(y_onehot, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
     if y.shape != p.shape:
         raise ShapeError(f"targets {y.shape} and predictions {p.shape} differ")
-    return float(log_loss_stack(y, p))
+    labels = one_hot_labels(y)
+    return float(label_log_loss(p[np.arange(len(labels)), labels]))
 
 
-def log_loss_stack(y_onehot, probs):
-    """:func:`log_loss` of each ``(n, o)`` matrix in a stack ``probs``, without shape checks.
+def one_hot_labels(y_onehot):
+    """Class index of each row of a one-hot ``(n, classes)`` target matrix."""
+    hot = y_onehot == 1.0
+    if y_onehot.ndim != 2 or not ((hot | (y_onehot == 0.0)).all() and (hot.sum(axis=1) == 1).all()):
+        raise ParameterError("targets must be one-hot rows: one 1 and zeros elsewhere in each row")
+    return hot.argmax(axis=1)
 
-    Each matrix's terms are summed as one flattened ``n * o`` row, which is
-    how :func:`log_loss` sums its single matrix, so the two agree bit for bit.
+
+def label_log_loss(picked):
+    """:func:`log_loss` from the true-class probabilities ``picked``, one ``(..., n)`` row per matrix.
+
+    Clips and takes logs in place, then sums each row over its ``n`` samples,
+    so a stack of rows and a single row of the same values agree bit for bit.
     """
-    terms = y_onehot * np.log(np.clip(probs, CLIP, 1.0 - CLIP))
-    return -terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / y_onehot.shape[0]
+    np.clip(picked, CLIP, 1.0 - CLIP, out=picked)
+    np.log(picked, out=picked)
+    return -picked.sum(axis=-1) / picked.shape[-1]
 
 
 @dataclass

@@ -14,6 +14,19 @@ back into full parameters; an optimizer minimizes :func:`objective`, the log
 loss at that vector. :class:`TrainingObjective` binds it to one training set
 and also scores a whole population of vectors in one call.
 
+Both forward paths are class-major: samples run along the contiguous last
+axis, so hidden activations are ``(lobules, n)`` and scores ``(classes, n)``
+(per agent, in a population). Each phase folds its ``1 / inner`` factor into
+the small weight matrix, ``(W / inner)ᵀ @ inputs + mean(W)``, rather than
+dividing the ``n``-sized product. The softmax runs over contiguous class
+rows, and the loss reads only each sample's true-class probability, by label
+index, so targets must be one-hot. :func:`phase1`, :func:`phase2` and
+:func:`forward` still return ``(n, …)`` arrays, as transposed views. A
+variant whose hidden layer does not depend on the trained vector
+(``phase2-only``, ``random-cofactor``) has it computed once per training
+set. The per-vector path and :meth:`TrainingObjective.population` do the same
+arithmetic on every element, which keeps their values bit-equal.
+
 Ablation variants keep the model runnable while disabling one component.
 :data:`TRAINABLE` says which matrices each variant trains; the variant's
 other matrix is frozen, and :func:`make_variant` and :func:`forward` say what
@@ -100,15 +113,19 @@ def init_params(n_features, n_lobules, n_outputs, rng):
 
 
 def phase1(x, cofactor):
-    """First transformation: (x @ cofactor) / n_features + mean(cofactor)."""
-    prod = numkit.matmul(x, cofactor)
-    return prod / cofactor.shape[0] + numkit.mean_all(cofactor)
+    """First transformation: (x @ cofactor) / n_features + mean(cofactor).
+
+    Computed class-major, as ``(cofactor / n_features)ᵀ @ xᵀ + mean(cofactor)``;
+    the result is the ``(n, lobules)`` transposed view of that product.
+    """
+    prod = numkit.matmul((cofactor / cofactor.shape[0]).T, np.transpose(x))
+    return (prod + numkit.mean_all(cofactor)).T
 
 
 def phase2(activated, vitamin):
-    """Second transformation: (a @ vitamin) / n_lobules + mean(vitamin)."""
-    prod = numkit.matmul(activated, vitamin)
-    return prod / vitamin.shape[0] + numkit.mean_all(vitamin)
+    """Second transformation: (a @ vitamin) / n_lobules + mean(vitamin), class-major like :func:`phase1`."""
+    prod = numkit.matmul((vitamin / vitamin.shape[0]).T, np.transpose(activated))
+    return (prod + numkit.mean_all(vitamin)).T
 
 
 @lru_cache(maxsize=32)
@@ -155,11 +172,13 @@ def forward(x, params, variant="full"):
             f"input has {x.shape[1]} features, model expects {params.n_features}"
         )
     if variant == "phase2-only":
-        hidden = numkit.matmul(x, feature_embedding_map(params.n_features, params.n_lobules))
+        embedding = feature_embedding_map(params.n_features, params.n_lobules)
+        hidden = numkit.matmul(embedding.T, x.T).T
     else:
         hidden = numkit.relu(phase1(x, params.cofactor))
     if variant == "phase1-only":
-        scores = numkit.matmul(hidden, lobule_average_map(params.n_lobules, params.n_outputs))
+        readout = lobule_average_map(params.n_lobules, params.n_outputs)
+        scores = numkit.matmul(readout.T, hidden.T).T
     else:
         scores = phase2(hidden, params.vitamin)
     return numkit.softmax_rows(scores)
@@ -245,19 +264,35 @@ class TrainingObjective:
     """
 
     def __init__(self, x, y_onehot, variant_model):
-        self.x = numkit.as_matrix(x, "input")
+        x = numkit.as_matrix(x, "input")
         self.y_onehot = np.asarray(y_onehot, dtype=np.float64)
         self.variant_model = variant_model
-        f, _, o = variant_model.params.shape
-        if self.x.shape[1] != f or self.y_onehot.shape != (self.x.shape[0], o):
+        f, p, o = variant_model.params.shape
+        if x.shape[1] != f or self.y_onehot.shape != (x.shape[0], o):
             raise ShapeError(
-                f"training set {self.x.shape} with targets {self.y_onehot.shape} "
+                f"training set {x.shape} with targets {self.y_onehot.shape} "
                 f"does not fit a model with {f} features and {o} classes"
             )
-        # Phase-1 output of the last population, reused while its shape holds:
-        # a fresh array per epoch is returned to the OS when freed and
-        # page-faulted back in by the next epoch.
+        n = x.shape[0]
+        # Samples run along the contiguous axis of every class-major array.
+        # ``self.x`` is a view whose transpose is this copy, so the reference
+        # path multiplies by exactly the operand the population path does.
+        self.x_t = np.ascontiguousarray(x.T)
+        self.x = self.x_t.T
+        # Flat index of each sample's true-class score in one agent's (o, n) block.
+        self._label_index = metrics.one_hot_labels(self.y_onehot) * n + np.arange(n)
+        tag = variant_model.tag
+        self._frozen_hidden = None
+        if tag == "phase2-only":
+            self._frozen_hidden = feature_embedding_map(f, p).T @ self.x_t
+        elif tag == "random-cofactor":
+            self._frozen_hidden = _class_major_phase(variant_model.params.cofactor, self.x_t)
+            np.maximum(self._frozen_hidden, 0.0, out=self._frozen_hidden)
+        # Phase-1 output of the last population and the label indices for its
+        # agent count, reused while the shape holds: a fresh array per epoch is
+        # returned to the OS when freed and page-faulted back in by the next.
         self._hidden = None
+        self._take = None
 
     def __call__(self, vec):
         return objective(vec, self.x, self.y_onehot, self.variant_model)
@@ -265,10 +300,13 @@ class TrainingObjective:
     def population(self, positions):
         """Log loss of each row of ``positions``, as an ``(agents,)`` array.
 
-        Trained matrices are stacked as ``(agents, rows, cols)`` with each
-        slice C-contiguous, like :func:`embed_trainable`'s copies, so every
-        slice goes through the same BLAS call and reductions as the reference
-        path. A frozen matrix is applied once and broadcast.
+        Everything is class-major with samples along the last axis: hidden
+        activations are ``(agents, lobules, n)`` and scores ``(agents,
+        classes, n)``. Trained matrices are views of ``positions`` shaped
+        ``(agents, rows, cols)``; each is scaled by ``1 / rows`` into a
+        C-contiguous stack, so every slice goes through the same BLAS call
+        and reductions as the reference path. A frozen hidden layer is
+        computed once, in ``__init__``.
         """
         vm = self.variant_model
         f, p, o = vm.params.shape
@@ -276,32 +314,42 @@ class TrainingObjective:
         size = trainable_size(vm)
         if positions.ndim != 2 or positions.shape[1] != size:
             raise ShapeError(f"population has shape {positions.shape}, expected (agents, {size})")
-        agents = positions.shape[0]
+        agents, n = positions.shape[0], self.x_t.shape[1]
         cofactor, vitamin = vm.params.cofactor, vm.params.vitamin
         if "cofactor" in vm.trainable:
-            cofactor = np.ascontiguousarray(positions[:, : f * p]).reshape(agents, f, p)
+            cofactor = positions[:, : f * p].reshape(agents, f, p)
         if "vitamin" in vm.trainable:
-            vitamin = np.ascontiguousarray(positions[:, size - p * o :]).reshape(agents, p, o)
-        if vm.tag == "phase2-only":
-            hidden = self.x @ feature_embedding_map(f, p)
-        else:
-            shape = (*cofactor.shape[:-2], self.x.shape[0], p)
-            if self._hidden is None or self._hidden.shape != shape:
-                self._hidden = np.empty(shape)
-            hidden = _stacked_phase(self.x, cofactor, out=self._hidden)
+            vitamin = positions[:, size - p * o :].reshape(agents, p, o)
+        hidden = self._frozen_hidden
+        if hidden is None:
+            if self._hidden is None or self._hidden.shape[0] != agents:
+                self._hidden = np.empty((agents, p, n))
+            hidden = _class_major_phase(cofactor, self.x_t, out=self._hidden)
             np.maximum(hidden, 0.0, out=hidden)
         if vm.tag == "phase1-only":
-            scores = np.matmul(hidden, lobule_average_map(p, o))
+            scores = np.matmul(lobule_average_map(p, o).T, hidden)
         else:
-            scores = _stacked_phase(hidden, vitamin)
-        return metrics.log_loss_stack(self.y_onehot, numkit.softmax_last(scores))
+            scores = _class_major_phase(vitamin, hidden)
+        e, total = numkit.softmax_classes(scores, out=scores)
+        if self._take is None or self._take.shape[0] != agents:
+            self._take = self._label_index + np.arange(0, agents * o * n, o * n)[:, None]
+        picked = np.take(e, self._take)
+        picked /= total
+        return metrics.label_log_loss(picked)
 
 
-def _stacked_phase(inputs, weights, out=None):
-    """:func:`phase1` / :func:`phase2` on one weight matrix or an ``(agents, rows, cols)`` stack."""
-    out = np.matmul(inputs, weights, out=out)
-    out /= weights.shape[-2]
-    out += weights.mean(axis=(-2, -1), keepdims=True)
+def _class_major_phase(weights, inputs, out=None):
+    """:func:`phase1` / :func:`phase2` as ``(rows, n)`` inputs to ``(cols, n)`` outputs.
+
+    ``weights`` is one ``(rows, cols)`` matrix or an ``(agents, rows, cols)``
+    stack; ``1 / rows`` is folded into the weights before the product. The
+    bias is ``ndarray.mean``'s own sum-then-divide, without its Python-level
+    bookkeeping, so it equals :func:`numkit.mean_all` bit for bit.
+    """
+    rows, cols = weights.shape[-2:]
+    scaled = weights / rows
+    out = np.matmul(np.swapaxes(scaled, -1, -2), inputs, out=out)
+    out += np.add.reduce(weights, axis=(-2, -1), keepdims=True) / (rows * cols)
     return out
 
 
@@ -335,7 +383,7 @@ def load_model(path):
     """Read a model document; returns (params, variant, training_meta)."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PersistenceError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise PersistenceError(f"model file {path} has no format_version field")
@@ -350,7 +398,9 @@ def load_model(path):
         vitamin = np.asarray(doc["V"], dtype=np.float64).reshape(p, o)
         variant = doc["variant"]
         meta = dict(doc["training_meta"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise PersistenceError(f"model file {path} is malformed: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
         raise PersistenceError(f"model file {path} is malformed: {exc}") from exc
     if variant not in VARIANTS:
         raise PersistenceError(f"model file {path} names unknown variant {variant!r}")

@@ -45,27 +45,35 @@ def relu(m):
 
 
 def softmax_rows(m):
-    """Row-wise softmax with max-subtraction so large entries cannot overflow."""
-    return softmax_last(as_matrix(m))
+    """Row-wise softmax with max-subtraction so large entries cannot overflow.
 
-
-def softmax_last(m):
-    """Softmax over the last axis of an array of any rank, without shape checks.
-
-    Goes class by class: a running maximum over the class columns, one
-    ``exp``, a running sum in class order, then one divide. Below eight
-    classes the sum is bit-equal to numpy's own ``sum(axis=-1)``, and the
-    whole is several times faster than the reductions on short rows.
+    Runs :func:`softmax_classes` on the class-major transpose and returns the
+    ``(rows, classes)`` view of the result.
     """
-    top = m[..., 0]
-    for j in range(1, m.shape[-1]):
-        top = np.maximum(top, m[..., j])
-    e = np.exp(m - top[..., None])
-    total = e[..., 0].copy()
-    for j in range(1, m.shape[-1]):
-        total += e[..., j]
-    e /= total[..., None]
-    return e
+    e, total = softmax_classes(as_matrix(m).T)
+    e /= total
+    return e.T
+
+
+def softmax_classes(s, out=None):
+    """Softmax numerators and denominators over axis -2 of an ``(..., classes, n)`` array.
+
+    Returns ``(e, total)``: ``e = exp(s - max)`` class by class, written to
+    ``out`` (which may be ``s`` itself), and ``total``, their sum over the
+    classes, of shape ``(..., n)``. The maximum runs over the class rows in
+    order and the sum adds them in class order, so each element is computed
+    with the same arithmetic whatever the layout; the probabilities are
+    ``e / total``. No shape checks.
+    """
+    top = s[..., 0, :].copy()
+    for j in range(1, s.shape[-2]):
+        np.maximum(top, s[..., j, :], out=top)
+    e = np.subtract(s, top[..., None, :], out=out)
+    np.exp(e, out=e)
+    total = e[..., 0, :].copy()
+    for j in range(1, e.shape[-2]):
+        total += e[..., j, :]
+    return e, total
 
 
 class RngStream:

@@ -26,6 +26,8 @@ from alc.fetch import dataset_available
 from alc.numkit import RngStream, softmax_rows
 from alc.optimizers import OPTIMIZERS, OptimizerConfig
 
+pytestmark = pytest.mark.acceptance
+
 ACCEPTANCE_SEEDS = (42, 43, 44)
 ABLATION_SEEDS = (42, 43, 44, 45, 46)
 

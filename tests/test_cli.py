@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alc import fetch, model
+from alc import experiments, fetch, model
 from alc.cli import main, read_config_file
 from alc.data import load_dataset
 from alc.errors import ConfigError, IntegrityError, ParameterError
@@ -329,6 +329,62 @@ def test_predict_bad_model_file(tmp_path):
     csv_path = tmp_path / "f.csv"
     csv_path.write_text("a\n1\n")
     assert run_cli("predict", "--model", str(bad), "--data", str(csv_path)) == 1
+
+
+@pytest.mark.parametrize("kind", ["undecodable", "directory"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    cfg_file = tmp_path / "exp.cfg"
+    if kind == "directory":
+        cfg_file.mkdir()
+    else:
+        cfg_file.write_bytes(b"\xff\xfedataset = iris\n")
+    code = run_cli("crossval", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {cfg_file} cannot be read as text")
+    assert "Traceback" not in err
+
+
+def test_undecodable_model_file_exits_1(tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    csv_path = tmp_path / "f.csv"
+    csv_path.write_text("a\n1\n")
+    assert run_cli("predict", "--model", str(bad), "--data", str(csv_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read model file {bad}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["crossval", "ablate"])
+def test_out_dir_that_cannot_be_made_fails_before_training(tmp_path, capsys, monkeypatch, command):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(experiments, "run_crossval", no_training)
+    monkeypatch.setattr(experiments, "run_ablation", no_training)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli(command, "--dataset", "iris", "--out-dir", str(blocker / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out-dir: cannot make report directory {blocker / 'x'}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["file", "missing"])
+def test_optbench_transform_dir_must_be_a_directory(tmp_path, capsys, kind):
+    transforms = tmp_path / "transforms"
+    if kind == "file":
+        transforms.write_text("")
+    code = run_cli(
+        "optbench", "--functions", "F4", "--runs", "1", "--epochs", "2", "--agents", "2",
+        "--transform-dir", str(transforms), "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --transform-dir {transforms} is not a directory")
+    assert not (tmp_path / "optbench").exists()
 
 
 # ---------------------------------------------------------------------------

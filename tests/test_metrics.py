@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alc.errors import InsufficientDataError, ShapeError
+from alc.errors import InsufficientDataError, ParameterError, ShapeError
 from alc.metrics import (
     ConfusionCounts,
     MetricReport,
@@ -57,6 +57,23 @@ def test_log_loss_binary_matches_scalar_oracle():
 def test_log_loss_shape_mismatch():
     with pytest.raises(ShapeError):
         log_loss(np.eye(2), np.full((3, 2), 0.5))
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        [[0.3, 0.7], [1.0, 0.0]],  # soft labels: argmax would quietly pick class 1
+        [[1.0, 1.0], [0.0, 1.0]],  # two classes marked
+        [[0.0, 0.0], [0.0, 1.0]],  # no class marked
+        [[2.0, 0.0], [0.0, 1.0]],
+        [[float("nan"), 1.0], [0.0, 1.0]],
+        [0.0, 1.0],  # not a matrix
+    ],
+)
+def test_log_loss_rejects_targets_that_are_not_one_hot(targets):
+    probs = np.full(np.shape(targets), 0.5)
+    with pytest.raises(ParameterError, match="one-hot"):
+        log_loss(targets, probs)
 
 
 def test_confusion_counts_perfect():

@@ -312,7 +312,13 @@ def training_problems(draw):
     scale = draw(st.sampled_from([1.0, 50.0]))
     base = AlcParams(f, p, o, rng.uniform(-scale, scale, (f, p)), rng.uniform(-scale, scale, (p, o)))
     vm = make_variant(base, variant, RngStream(int(rng.integers(2**31))))
-    x = rng.uniform(-scale, scale, (n, f))
+    layout = draw(st.sampled_from(["C", "F", "strided", "int"]))
+    if layout == "strided":
+        x = rng.uniform(-scale, scale, (2 * n, f + 2))[::2, 1:-1]
+    elif layout == "int":
+        x = rng.integers(-int(scale), int(scale) + 1, (n, f))
+    else:
+        x = np.asarray(rng.uniform(-scale, scale, (n, f)), order=layout)
     y = np.eye(o)[rng.integers(0, o, n)]
     positions = rng.uniform(-scale, scale, (agents, trainable_size(vm)))
     return TrainingObjective(x, y, vm), positions
@@ -326,6 +332,35 @@ def test_population_is_bit_equal_to_per_agent_calls(problem):
     assert np.array_equal(obj.population(positions), expected)
     # a second call reuses the phase-1 buffer of the first
     assert np.array_equal(obj.population(positions[::-1]), expected[::-1])
+
+
+@pytest.mark.parametrize("variant", ["random-cofactor", "phase2-only"])
+def test_frozen_hidden_layer_is_computed_once_and_matches_a_recomputation(variant):
+    rng = np.random.default_rng(8)
+    n, f, p, o = 37, 5, 7, 3
+    vm = make_variant(make_params(f, p, o), variant, RngStream(3))
+    x = rng.normal(size=(n, f))
+    obj = TrainingObjective(x, np.eye(o)[rng.integers(0, o, n)], vm)
+    if variant == "random-cofactor":
+        recomputed = np.maximum(phase1(x, vm.params.cofactor), 0.0)
+    else:
+        recomputed = x @ feature_embedding_map(f, p)
+    cached = obj._frozen_hidden
+    assert cached.shape == (p, n)
+    assert np.array_equal(cached, recomputed.T)
+    # scoring populations reads the cached layer and never writes to it
+    for agents in (4, 1, 4):
+        positions = rng.uniform(-1.0, 1.0, (agents, trainable_size(vm)))
+        assert np.array_equal(obj.population(positions), [obj(v) for v in positions])
+    assert obj._frozen_hidden is cached
+    assert np.array_equal(cached, recomputed.T)
+
+
+def test_training_objective_rejects_targets_that_are_not_one_hot():
+    x = np.zeros((3, 2))
+    for y in ([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(ParameterError, match="one-hot"):
+            TrainingObjective(x, y, full_model(2, 3, 2))
 
 
 def test_population_reuses_its_phase1_array():
@@ -424,6 +459,7 @@ def test_load_model_rejects_malformed_document(tmp_path):
              "C": [0.5, 0.5], "V": [1.0, 0.0, 0.0, 1.0], "training_meta": meta}
     documents = [
         ({"format_version": 1, "f": 2, "p": 3, "o": 2, "C": [1.0]}, "malformed"),
+        ({k: v for k, v in whole.items() if k != "f"}, "is malformed: missing key 'f'"),
         ({**whole, "C": [0.5, float("nan")]}, "non-finite"),
         ({**whole, "V": [1.0, float("inf"), 0.0, 1.0]}, "non-finite"),
         ({**whole, "p": 1, "C": [0.5], "V": [1.0, 0.0], "variant": "identity-vitamin"}, "p == o"),
