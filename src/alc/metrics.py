@@ -36,10 +36,11 @@ def log_loss(y_onehot, probs):
 
 def one_hot_labels(y_onehot):
     """Class index of each row of a one-hot ``(n, classes)`` target matrix."""
-    hot = y_onehot == 1.0
-    if y_onehot.ndim != 2 or not ((hot | (y_onehot == 0.0)).all() and (hot.sum(axis=1) == 1).all()):
-        raise ParameterError("targets must be one-hot rows: one 1 and zeros elsewhere in each row")
-    return hot.argmax(axis=1)
+    if y_onehot.ndim == 2 and y_onehot.shape[1] > 0:
+        labels = (y_onehot == 1.0).argmax(axis=1)
+        if np.array_equal(y_onehot, labels[:, None] == np.arange(y_onehot.shape[1])):
+            return labels
+    raise ParameterError("targets must be one-hot rows: one 1 and zeros elsewhere in each row")
 
 
 def label_log_loss(picked):

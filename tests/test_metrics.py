@@ -68,6 +68,7 @@ def test_log_loss_shape_mismatch():
         [[2.0, 0.0], [0.0, 1.0]],
         [[float("nan"), 1.0], [0.0, 1.0]],
         [0.0, 1.0],  # not a matrix
+        [[], []],  # no classes
     ],
 )
 def test_log_loss_rejects_targets_that_are_not_one_hot(targets):
