@@ -8,13 +8,17 @@ Each pair runs ``perfbench/run.py`` once from each checkout, one after the
 other: odd pairs run the parent first, even pairs the change first. Every
 run's ``# digest`` and final result line go to ``--out``, with a summary per
 (workload, seed, trace) set: each metric's quartiles on either side, the
-number of pairs the change won, and the ratio of the medians. A pair with a
-failed run is left out of the quartiles; its failed runs are counted per side
-under ``failed`` and make the set's ``correct`` false. An existing
+number of pairs the change won, and the ratio of the medians. An
+end-to-end metric whose median moved the wrong way by more than its bound, as
+a share of the parent's median, is marked ``beyond_bound`` and listed under
+the set's ``beyond_bound``. A pair with a failed run is left out of the
+quartiles; its failed runs are counted per side under ``failed`` and make
+the set's ``correct`` false. An existing
 ``--out`` is extended rather than replaced, so workloads can be run one at a
 time into one file; it is rewritten after every run, so an interrupted
-session keeps what it measured. Which direction is better for each metric
-comes from ``BENCHMARK.json`` at the root of this script's checkout.
+session keeps what it measured. Which direction is better for each metric,
+and each end-to-end bound, come from ``BENCHMARK.json`` at the root of this
+script's checkout.
 """
 
 import argparse
@@ -28,9 +32,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def metric_directions():
+def metric_rules():
+    """``({metric: "higher" or "lower"}, {end-to-end metric: bound})`` from BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    directions = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return directions, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -57,8 +63,14 @@ def quartiles(values):
     return {"q1": q[0], "median": q[1], "q3": q[2]}
 
 
-def summarize(runs, directions):
-    """Per (workload, seed, trace) set: digests, then per-metric quartiles and pair wins."""
+def summarize(runs, directions, bounds=None):
+    """Per (workload, seed, trace) set: digests, then per-metric quartiles and pair wins.
+
+    ``bounds`` maps end-to-end metrics to the share of the parent's median by
+    which the change's median may move the wrong way; only those metrics get
+    a ``beyond_bound`` flag.
+    """
+    bounds = bounds or {}
     sets = {}
     for run in runs:
         key = f"{run['workload']} seed {run['seed']} trace {run['trace']}"
@@ -85,6 +97,9 @@ def summarize(runs, directions):
                 "parent_iqr": parent["q3"] - parent["q1"],
                 "median_difference": change["median"] - parent["median"],
             }
+            if name in bounds:
+                worse = parent["median"] - change["median"] if better == "higher" else change["median"] - parent["median"]
+                metrics[name]["beyond_bound"] = worse > bounds[name] * abs(parent["median"])
         summary[key] = {
             "pairs": len(whole),
             "digests": digests,
@@ -92,6 +107,7 @@ def summarize(runs, directions):
             "failed": failed,
             "correct": not any(failed.values())
             and all(p[s]["result"]["correct"] for p in whole for s in ("parent", "change")),
+            "beyond_bound": [name for name, m in metrics.items() if m.get("beyond_bound")],
             "metrics": metrics,
         }
     return summary
@@ -115,7 +131,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write or extend")
     args = parser.parse_args(argv)
 
-    directions = metric_directions()
+    directions, bounds = metric_rules()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S --seconds T --trace R")
     doc.setdefault("order", "parent first in odd pairs, change first in even pairs")
@@ -130,7 +146,7 @@ def main(argv=None):
             doc["host"] = run.pop("host", doc.get("host"))
             runs.append({"side": side, "checkout": checkout.resolve().name, "workload": args.workload,
                          "seed": args.seed, "trace": args.trace, "pair": pair, "seconds": args.seconds, **run})
-            doc["summary"] = summarize(runs, directions)
+            doc["summary"] = summarize(runs, directions, bounds)
             write_json(args.out, doc)
             result = run["result"]
             shown = result["metrics"] if result else {}

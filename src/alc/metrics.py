@@ -48,10 +48,16 @@ def label_log_loss(picked):
 
     Clips and takes logs in place, then sums each row over its ``n`` samples,
     so a stack of rows and a single row of the same values agree bit for bit.
+    The clip is ``minimum(maximum(x, CLIP), 1 - CLIP)``, which is what
+    ``np.clip`` computes (NaN passes through), and the sum is
+    ``np.add.reduce``, which ``ndarray.sum`` calls; the plain ufunc calls
+    skip those Python-level wrappers. The sum is negated before the division
+    (``sum / -n`` would flip the sign bit of a NaN loss).
     """
-    np.clip(picked, CLIP, 1.0 - CLIP, out=picked)
+    np.maximum(picked, CLIP, out=picked)
+    np.minimum(picked, 1.0 - CLIP, out=picked)
     np.log(picked, out=picked)
-    return -picked.sum(axis=-1) / picked.shape[-1]
+    return -np.add.reduce(picked, axis=-1) / picked.shape[-1]
 
 
 @dataclass

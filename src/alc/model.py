@@ -19,13 +19,16 @@ axis, so hidden activations are ``(lobules, n)`` and scores ``(classes, n)``
 (per agent, in a population). Each phase folds its ``1 / inner`` factor into
 the small weight matrix, ``(W / inner)ᵀ @ inputs + mean(W)``, rather than
 dividing the ``n``-sized product. The softmax runs over contiguous class
-rows, and the loss reads only each sample's true-class probability, by label
-index, so targets must be one-hot. :func:`phase1`, :func:`phase2` and
-:func:`forward` still return ``(n, …)`` arrays, as transposed views. A
-variant whose hidden layer does not depend on the trained vector
-(``phase2-only``, ``random-cofactor``) has it computed once per training
-set. The per-vector path and :meth:`TrainingObjective.population` do the same
-arithmetic on every element, which keeps their values bit-equal.
+rows and adds the class rows one at a time, in class order, in every path:
+a numpy reduction over the class axis may sum pairwise and change the last
+bits (:func:`numkit.softmax_classes`). The loss reads only each sample's
+true-class probability, by label index, so targets must be one-hot.
+:func:`phase1`, :func:`phase2` and :func:`forward` still return ``(n, …)``
+arrays, as transposed views. A variant whose hidden layer does not depend
+on the trained vector (``phase2-only``, ``random-cofactor``) has it
+computed once per training set. The per-vector path and
+:meth:`TrainingObjective.population` do the same arithmetic on every
+element, which keeps their values bit-equal.
 
 Ablation variants keep the model runnable while disabling one component.
 :data:`TRAINABLE` says which matrices each variant trains; the variant's
@@ -257,36 +260,49 @@ def objective(vec, x, y_onehot, variant_model):
 class TrainingObjective:
     """:func:`objective` bound to one training set, plus a population method.
 
-    Calling it with one trainable vector is the reference path.
-    :meth:`population` scores every row of an ``(agents, dim)`` block in one
-    pass over stacked matrices and gives values bit-equal to calling it once
-    per row.
+    Calling it with one trainable vector is the reference path: it runs
+    :func:`embed_trainable` and :func:`forward`, then the loss on the labels
+    validated once here, which is :func:`metrics.log_loss` without its
+    per-call target check. :meth:`population` scores every row of an
+    ``(agents, dim)`` block in one pass over stacked matrices and gives
+    values bit-equal to calling it once per row. Everything that depends only
+    on the training set and the variant (shapes, frozen matrices, the
+    ``phase1-only`` readout, label indices) is derived once, in
+    ``__init__``, so a population call runs its one shape check and the
+    arithmetic.
     """
 
     def __init__(self, x, y_onehot, variant_model):
         x = numkit.as_matrix(x, "input")
-        self.y_onehot = np.asarray(y_onehot, dtype=np.float64)
+        y_onehot = np.asarray(y_onehot, dtype=np.float64)
         self.variant_model = variant_model
-        f, p, o = variant_model.params.shape
-        if x.shape[1] != f or self.y_onehot.shape != (x.shape[0], o):
+        params, trainable = variant_model.params, variant_model.trainable
+        f, p, o = params.shape
+        if x.shape[1] != f or y_onehot.shape != (x.shape[0], o):
             raise ShapeError(
-                f"training set {x.shape} with targets {self.y_onehot.shape} "
+                f"training set {x.shape} with targets {y_onehot.shape} "
                 f"does not fit a model with {f} features and {o} classes"
             )
         n = x.shape[0]
+        self._shape = (f, p, o, n, trainable_size(variant_model))
         # Samples run along the contiguous axis of every class-major array.
         # ``self.x`` is a view whose transpose is this copy, so the reference
         # path multiplies by exactly the operand the population path does.
         self.x_t = np.ascontiguousarray(x.T)
         self.x = self.x_t.T
+        self._labels = metrics.one_hot_labels(y_onehot)
+        self._samples = np.arange(n)
         # Flat index of each sample's true-class score in one agent's (o, n) block.
-        self._label_index = metrics.one_hot_labels(self.y_onehot) * n + np.arange(n)
-        tag = variant_model.tag
+        self._label_index = self._labels * n + self._samples
+        # Frozen matrices, None where the population supplies the matrix.
+        self._cofactor = None if "cofactor" in trainable else params.cofactor
+        self._vitamin = None if "vitamin" in trainable else params.vitamin
+        self._readout_t = lobule_average_map(p, o).T if variant_model.tag == "phase1-only" else None
         self._frozen_hidden = None
-        if tag == "phase2-only":
+        if variant_model.tag == "phase2-only":
             self._frozen_hidden = feature_embedding_map(f, p).T @ self.x_t
-        elif tag == "random-cofactor":
-            self._frozen_hidden = _class_major_phase(variant_model.params.cofactor, self.x_t)
+        elif variant_model.tag == "random-cofactor":
+            self._frozen_hidden = _class_major_phase(params.cofactor, self.x_t)
             np.maximum(self._frozen_hidden, 0.0, out=self._frozen_hidden)
         # Phase-1 output of the last population and the label indices for its
         # agent count, reused while the shape holds: a fresh array per epoch is
@@ -295,7 +311,9 @@ class TrainingObjective:
         self._take = None
 
     def __call__(self, vec):
-        return objective(vec, self.x, self.y_onehot, self.variant_model)
+        vm = self.variant_model
+        probs = forward(self.x, embed_trainable(vec, vm), vm.tag)
+        return float(metrics.label_log_loss(probs[self._samples, self._labels]))
 
     def population(self, positions):
         """Log loss of each row of ``positions``, as an ``(agents,)`` array.
@@ -308,17 +326,15 @@ class TrainingObjective:
         and reductions as the reference path. A frozen hidden layer is
         computed once, in ``__init__``.
         """
-        vm = self.variant_model
-        f, p, o = vm.params.shape
+        f, p, o, n, size = self._shape
         positions = np.asarray(positions, dtype=np.float64)
-        size = trainable_size(vm)
         if positions.ndim != 2 or positions.shape[1] != size:
             raise ShapeError(f"population has shape {positions.shape}, expected (agents, {size})")
-        agents, n = positions.shape[0], self.x_t.shape[1]
-        cofactor, vitamin = vm.params.cofactor, vm.params.vitamin
-        if "cofactor" in vm.trainable:
+        agents = positions.shape[0]
+        cofactor, vitamin = self._cofactor, self._vitamin
+        if cofactor is None:
             cofactor = positions[:, : f * p].reshape(agents, f, p)
-        if "vitamin" in vm.trainable:
+        if vitamin is None:
             vitamin = positions[:, size - p * o :].reshape(agents, p, o)
         hidden = self._frozen_hidden
         if hidden is None:
@@ -326,14 +342,14 @@ class TrainingObjective:
                 self._hidden = np.empty((agents, p, n))
             hidden = _class_major_phase(cofactor, self.x_t, out=self._hidden)
             np.maximum(hidden, 0.0, out=hidden)
-        if vm.tag == "phase1-only":
-            scores = np.matmul(lobule_average_map(p, o).T, hidden)
-        else:
+        if self._readout_t is None:
             scores = _class_major_phase(vitamin, hidden)
+        else:
+            scores = np.matmul(self._readout_t, hidden)
         e, total = numkit.softmax_classes(scores, out=scores)
         if self._take is None or self._take.shape[0] != agents:
             self._take = self._label_index + np.arange(0, agents * o * n, o * n)[:, None]
-        picked = np.take(e, self._take)
+        picked = e.take(self._take)
         picked /= total
         return metrics.label_log_loss(picked)
 
@@ -348,7 +364,7 @@ def _class_major_phase(weights, inputs, out=None):
     """
     rows, cols = weights.shape[-2:]
     scaled = weights / rows
-    out = np.matmul(np.swapaxes(scaled, -1, -2), inputs, out=out)
+    out = np.matmul(scaled.swapaxes(-1, -2), inputs, out=out)
     out += np.add.reduce(weights, axis=(-2, -1), keepdims=True) / (rows * cols)
     return out
 

@@ -60,18 +60,23 @@ def softmax_classes(s, out=None):
 
     Returns ``(e, total)``: ``e = exp(s - max)`` class by class, written to
     ``out`` (which may be ``s`` itself), and ``total``, their sum over the
-    classes, of shape ``(..., n)``. The maximum runs over the class rows in
-    order and the sum adds them in class order, so each element is computed
-    with the same arithmetic whatever the layout; the probabilities are
-    ``e / total``. No shape checks.
+    classes, of shape ``(..., n)``; the probabilities are ``e / total``. No
+    shape checks.
+
+    Class-order sum rule: ``total`` adds the class rows one at a time,
+    ``((e0 + e1) + e2) + ...``, so each element is computed with the same
+    arithmetic whatever the layout or the stack. ``np.add.reduce`` over the
+    class axis would not keep that: with one sample, or with classes along
+    the contiguous axis, numpy sums pairwise and the last bits change. The
+    maximum is exact, so one reduction of any order gives it.
     """
-    top = s[..., 0, :].copy()
-    for j in range(1, s.shape[-2]):
-        np.maximum(top, s[..., j, :], out=top)
-    e = np.subtract(s, top[..., None, :], out=out)
+    top = np.maximum.reduce(s, axis=-2, keepdims=True)
+    e = np.subtract(s, top, out=out)
     np.exp(e, out=e)
-    total = e[..., 0, :].copy()
-    for j in range(1, e.shape[-2]):
+    if e.shape[-2] == 1:
+        return e, e[..., 0, :].copy()
+    total = e[..., 0, :] + e[..., 1, :]
+    for j in range(2, e.shape[-2]):
         total += e[..., j, :]
     return e, total
 

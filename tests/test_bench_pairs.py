@@ -13,12 +13,16 @@ spec.loader.exec_module(bench_pairs)
 KEY = "optbench-suite seed 42 trace 0"
 
 
-def run(side, pair, value, correct=True):
-    """One run as ``main`` records it; ``value`` None stands for a run that exited non-zero."""
+def run(side, pair, value, correct=True, **more):
+    """One run as ``main`` records it; ``value`` None stands for a run that exited non-zero.
+
+    ``value`` is the run's ``evals_per_s``; ``more`` gives other metrics.
+    """
     doc = {"side": side, "workload": "optbench-suite", "seed": 42, "trace": 0, "pair": pair, "digest": "0f809a90"}
     if value is None:
         return {**doc, "result": None, "error": "exit 1: Traceback"}
-    return {**doc, "result": {"correct": correct, "metrics": {"evals_per_s": {"value": value}}}}
+    values = {"evals_per_s": value, **more}
+    return {**doc, "result": {"correct": correct, "metrics": {k: {"value": v} for k, v in values.items()}}}
 
 
 def test_whole_pairs_give_quartiles_wins_and_no_failures():
@@ -47,3 +51,32 @@ def test_an_incorrect_result_makes_the_set_incorrect():
     runs = [run("parent", 1, 100.0), run("change", 1, 140.0, correct=False)]
     got = bench_pairs.summarize(runs, {"evals_per_s": "higher"})[KEY]
     assert got["failed"] == {"parent": 0, "change": 0} and got["correct"] is False
+
+
+def test_a_median_that_moves_the_wrong_way_past_its_bound_is_flagged():
+    # evals_per_s (higher is better) drops 25% and wall_s (lower is better)
+    # rises 10%, against bounds of 20%; the per-layer metric has no bound.
+    runs = []
+    for pair, (parent, change) in enumerate([(100.0, 75.0), (104.0, 78.0), (96.0, 72.0)], start=1):
+        runs += [run("parent", pair, parent, wall_s=2.0, **{"model.forward_us": 10.0}),
+                 run("change", pair, change, wall_s=2.2, **{"model.forward_us": 50.0})]
+    directions = {"evals_per_s": "higher", "wall_s": "lower", "model.forward_us": "lower"}
+    got = bench_pairs.summarize(runs, directions, {"evals_per_s": 0.2, "wall_s": 0.2})[KEY]
+    assert got["beyond_bound"] == ["evals_per_s"]
+    assert got["metrics"]["evals_per_s"]["beyond_bound"] is True
+    assert got["metrics"]["wall_s"]["beyond_bound"] is False
+    assert "beyond_bound" not in got["metrics"]["model.forward_us"]
+    # a looser bound clears evals_per_s, a tighter one catches wall_s
+    got = bench_pairs.summarize(runs, directions, {"evals_per_s": 0.3, "wall_s": 0.05})[KEY]
+    assert got["beyond_bound"] == ["wall_s"]
+    # a change that moves the right way is never flagged
+    swapped = [{**r, "side": "change" if r["side"] == "parent" else "parent"} for r in runs]
+    got = bench_pairs.summarize(swapped, directions, {"evals_per_s": 0.01, "wall_s": 0.01})[KEY]
+    assert got["beyond_bound"] == []
+
+
+def test_bounds_are_read_from_the_benchmark_spec():
+    directions, bounds = bench_pairs.metric_rules()
+    assert bounds and set(bounds) <= set(directions)
+    assert directions["evals_per_s"] == "higher" and bounds["evals_per_s"] > 0
+    assert "model.forward_us" in directions and "model.forward_us" not in bounds

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from alc.errors import InsufficientDataError, ParameterError, ShapeError
 from alc.metrics import (
+    CLIP,
     ConfusionCounts,
     MetricReport,
     accuracy,
     confusion_counts,
     f1_macro,
+    label_log_loss,
     log_loss,
     overfitting_gap,
     precision_macro,
@@ -75,6 +77,27 @@ def test_log_loss_rejects_targets_that_are_not_one_hot(targets):
     probs = np.full(np.shape(targets), 0.5)
     with pytest.raises(ParameterError, match="one-hot"):
         log_loss(targets, probs)
+
+
+def clip_sum_log_loss(picked):
+    """The loss tail as ``np.clip`` and ``ndarray.sum`` write it."""
+    picked = np.clip(picked, CLIP, 1.0 - CLIP)
+    return -np.log(picked).sum(axis=-1) / picked.shape[-1]
+
+
+def test_label_log_loss_is_bit_equal_to_the_clip_and_sum_formula():
+    edges = [0.0, 1.0, CLIP, 1.0 - CLIP, np.nextafter(CLIP, 0.0), np.nextafter(1.0 - CLIP, 1.0),
+             5e-16, 1e-300, 5e-324, 1.0 - 1e-17, 0.5, math.nan]
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 6)))  # includes single-sample rows
+        picked = rng.choice(edges, size=shape) if trial % 2 else rng.uniform(0.0, 1.0, shape)
+        for rows in (picked, picked[0]):  # a stack and one row
+            expected = np.asarray(clip_sum_log_loss(rows))
+            got = np.asarray(label_log_loss(rows.copy()))
+            assert got.shape == expected.shape
+            # compared as bits, so NaN losses must carry the same sign as well
+            assert got.tobytes() == expected.tobytes(), rows
 
 
 def test_confusion_counts_perfect():

@@ -363,6 +363,33 @@ def test_training_objective_rejects_targets_that_are_not_one_hot():
             TrainingObjective(x, y, full_model(2, 3, 2))
 
 
+def test_per_vector_calls_reuse_the_validated_labels(monkeypatch):
+    from alc import metrics, numkit
+
+    rng = np.random.default_rng(9)
+    n, f, p, o = 23, 4, 6, 3
+    vm = make_variant(make_params(f, p, o), "full")
+    x, y = rng.normal(size=(n, f)), np.eye(o)[rng.integers(0, o, n)]
+    obj = TrainingObjective(x, y, vm)
+    vectors = rng.uniform(-1.0, 1.0, (5, trainable_size(vm)))
+    expected = [objective(v, x, y, vm) for v in vectors]
+    calls = {"one_hot_labels": 0, "as_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(metrics, "one_hot_labels", counted("one_hot_labels", metrics.one_hot_labels))
+    monkeypatch.setattr(numkit, "as_matrix", counted("as_matrix", numkit.as_matrix))
+    got = [obj(v) for v in vectors]
+    assert [type(v) for v in got] == [float] * len(vectors)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert calls == {"one_hot_labels": 0, "as_matrix": 9 * len(vectors)}
+
+
 def test_population_reuses_its_phase1_array():
     # breast_cancer training shapes: 512 rows, 30 features, 10 lobules, 10 agents
     n, f, p, o, agents = 512, 30, 10, 2, 10

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alc.errors import ShapeError
-from alc.numkit import RngStream, matmul, mean_all, relu, softmax_rows
+from alc.numkit import RngStream, matmul, mean_all, relu, softmax_classes, softmax_rows
 
 
 def naive_matmul(a, b):
@@ -77,6 +77,7 @@ def test_relu_idempotent_and_preserves_positives():
 
 def test_softmax_symmetry():
     assert softmax_rows([[0.0, 0.0]]).tolist() == [[0.5, 0.5]]
+    assert softmax_rows([[5.0], [-2.0]]).tolist() == [[1.0], [1.0]]  # one class
     np.testing.assert_allclose(softmax_rows([[0.0, 0.0, 0.0]]), [[1 / 3] * 3], atol=1e-15)
 
 
@@ -107,6 +108,40 @@ def test_softmax_rows_sum_to_one(rows):
     assert (out >= 0).all() and (out <= 1).all()
     if np.ptp(rows, axis=1).max() < 30:
         assert (out > 0).all() and (out < 1).all()
+
+
+def class_order_softmax(scores):
+    """Softmax of one sample's class scores, one scalar at a time.
+
+    Each ``exp`` is numpy's own on a single value; the denominator adds the
+    numerators in class order, ``((e0 + e1) + e2) + ...``.
+    """
+    top = max(scores)
+    e = [float(np.exp(np.float64(v) - top)) for v in scores]
+    total = e[0]
+    for v in e[1:]:
+        total += v
+    return e, total
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_softmax_is_bit_equal_to_a_class_order_oracle(n, order):
+    # Guards the class-order sum: a reduction that adds classes pairwise or in
+    # another order changes last bits for some of these shapes.
+    rng = np.random.default_rng(100 + n)
+    for o in range(2, 13):
+        for scale in (1.0, 30.0):
+            stack = np.asarray(rng.normal(scale=scale, size=(3, o, n)), order=order)
+            e, total = softmax_classes(stack.copy(order=order))
+            rows = softmax_rows(np.asarray(stack[0].T, order=order))
+            for a in range(3):
+                for j in range(n):
+                    want_e, want_total = class_order_softmax(stack[a, :, j].tolist())
+                    assert e[a, :, j].tolist() == want_e
+                    assert total[a, j] == want_total
+                    if a == 0:
+                        assert rows[j].tolist() == [v / want_total for v in want_e]
 
 
 def test_rng_uniform_deterministic():
