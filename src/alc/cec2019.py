@@ -296,8 +296,3 @@ class SuiteObjective:
         if positions.ndim != 2 or positions.shape[1] != dim:
             raise ShapeError(f"{self.fid} expects rows of length {dim}, got shape {positions.shape}")
         return _SUITE[self.fid][1](positions, self.transform) + 1.0
-
-
-def make_objective(fid, transform=None):
-    """Objective bound to one function id; see :class:`SuiteObjective`."""
-    return SuiteObjective(fid, transform)

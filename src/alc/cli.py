@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``crossval``, ``ablate``, ``optbench``, ``fetch``, ``predict``.
-Exit codes: 0 success, 2 configuration error, 3 ingest or integrity error,
-4 numeric failure.
+Exit codes (:data:`EXIT_CODES`): 0 success, 2 configuration error, 3 ingest
+or integrity error, 4 numeric failure, 1 any other package error.
 
 Config files are plain ``key = value`` lines (``#`` comments allowed) with
 keys mirroring the experiment config: dataset, lobules, epochs, agents,
@@ -39,6 +39,13 @@ _CONFIG_KEYS = {
     "lda_dims": int,
     "subsample": int,
 }
+
+# Exit code per error class; any other AlcError exits 1.
+EXIT_CODES = (
+    ((ConfigError, ParameterError, VariantError), 2),
+    ((IngestError, IntegrityError), 3),
+    (NumericError, 4),
+)
 
 
 def _parse_bool(raw, key):
@@ -127,18 +134,20 @@ def _report_dir(args, name):
 
 def _cmd_crossval(args):
     cfg = _build_experiment_config(args)
-    dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
     grid = None
-    if args.lobule_grid:
+    if args.lobule_grid is not None:
         try:
             grid = [int(v) for v in args.lobule_grid.split(",") if v.strip()]
         except ValueError:
+            grid = []
+        if not grid:
             raise ConfigError(
                 f"--lobule-grid takes a comma list of integers, got {args.lobule_grid!r}"
-            ) from None
+            )
+    dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
     out_dir = _report_dir(args, f"crossval_{cfg.dataset_id}")
     if grid is not None:
-        result, rows = experiments.lobule_grid_search(cfg, grid or None, dataset=dataset, jobs=args.jobs)
+        result, rows = experiments.lobule_grid_search(cfg, grid, dataset=dataset, jobs=args.jobs)
         for p, acc, _ in rows:
             print(f"lobules={p}: mean validation accuracy {acc:.4f}")
         cfg = result.config
@@ -289,19 +298,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # crossval, ablate and optbench take --jobs; check it before any data loads
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except (ConfigError, ParameterError, VariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IngestError, IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except AlcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), 1)
 
 
 if __name__ == "__main__":

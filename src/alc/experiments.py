@@ -73,7 +73,7 @@ class ExperimentConfig:
     lda_dims: int | None = None
     subsample: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.lobules < 1:
             raise ConfigError(f"lobules must be >= 1, got {self.lobules}")
         if self.epochs < 1:
@@ -92,7 +92,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"subsample {self.subsample} smaller than k_folds {self.k_folds}"
             )
-        return self
 
 
 def default_config(dataset_id, **overrides):
@@ -106,7 +105,7 @@ def default_config(dataset_id, **overrides):
         subsample=DEFAULT_SUBSAMPLE.get(dataset_id),
     )
     base.update(overrides)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 @dataclass
@@ -281,7 +280,6 @@ def prepare_arrays(cfg, dataset):
 
 def run_crossval(cfg, dataset=None, jobs=1):
     """K-fold cross-validation of the classifier under ``cfg``."""
-    cfg.validate()
     if dataset is None:
         dataset = data.load_dataset(cfg.dataset_id)
     x, y = prepare_arrays(cfg, dataset)
@@ -306,7 +304,6 @@ def run_ablation(cfg, dataset=None, variants=model.VARIANTS, jobs=1):
     ``identity-vitamin`` only exists for lobules == classes, so that row runs
     at ``lobules = n_classes``; its result's ``config`` records the count used.
     """
-    cfg.validate()
     if dataset is None:
         dataset = data.load_dataset(cfg.dataset_id)
     results = {}
@@ -324,12 +321,13 @@ def lobule_grid_search(cfg, grid=None, dataset=None, jobs=1):
         grid = DEFAULT_LOBULE_GRIDS.get(cfg.dataset_id)
         if grid is None:
             raise ConfigError(f"no default lobule grid for {cfg.dataset_id!r}")
+    configs = [replace(cfg, lobules=int(p)) for p in grid]  # every width checked before any run
     if dataset is None:
         dataset = data.load_dataset(cfg.dataset_id)
     rows = []
-    for p in grid:
-        result = run_crossval(replace(cfg, lobules=int(p)), dataset=dataset, jobs=jobs)
-        rows.append((int(p), result.mean.accuracy, result))
+    for grid_cfg in configs:
+        result = run_crossval(grid_cfg, dataset=dataset, jobs=jobs)
+        rows.append((grid_cfg.lobules, result.mean.accuracy, result))
     best = max(rows, key=lambda r: (r[1], -r[0]))
     return best[2], rows
 
@@ -381,7 +379,7 @@ class OptbenchResult:
 def _optbench_cell(args):
     fid, optimizer_id, runs, epochs, agents, seed, transform = args
     info = cec2019.suite_info(fid)
-    objective = cec2019.make_objective(fid, transform)
+    objective = cec2019.SuiteObjective(fid, transform)
     cfg = OptimizerConfig(
         epochs=epochs, agents=agents, dim=info.dim, lower=info.lower, upper=info.upper, seed=seed
     )

@@ -10,9 +10,9 @@ the cofactor matrix; phase 2 maps lobule activations onto ``n_outputs`` class
 scores through the vitamin matrix. Training is gradient-free: the trainable
 matrices are laid out as one vector (cofactor row-major, then vitamin
 row-major, frozen matrices left out), which :func:`embed_trainable` splices
-back into full parameters; an optimizer minimizes :func:`objective`, the log
-loss at that vector. :class:`TrainingObjective` binds it to one training set
-and also scores a whole population of vectors in one call.
+back into full parameters. An optimizer minimizes a
+:class:`TrainingObjective`, the log loss at that vector on one training set,
+which scores a whole population of vectors per call.
 
 Both forward paths are class-major: samples run along the contiguous last
 axis, so hidden activations are ``(lobules, n)`` and scores ``(classes, n)``
@@ -26,9 +26,9 @@ true-class probability, by label index, so targets must be one-hot.
 :func:`phase1`, :func:`phase2` and :func:`forward` still return ``(n, …)``
 arrays, as transposed views. A variant whose hidden layer does not depend
 on the trained vector (``phase2-only``, ``random-cofactor``) has it
-computed once per training set. The per-vector path and
-:meth:`TrainingObjective.population` do the same arithmetic on every
-element, which keeps their values bit-equal.
+computed once per training set. Calling a :class:`TrainingObjective` on
+one vector and :meth:`TrainingObjective.population` do the same arithmetic
+on every element, which keeps their values bit-equal.
 
 Ablation variants keep the model runnable while disabling one component.
 :data:`TRAINABLE` says which matrices each variant trains; the variant's
@@ -251,14 +251,8 @@ def embed_trainable(train_vec, variant_model):
     return AlcParams(f, p, o, cofactor, vitamin)
 
 
-def objective(vec, x, y_onehot, variant_model):
-    """Training objective: log loss of the forward pass at trainable vector ``vec``."""
-    params = embed_trainable(vec, variant_model)
-    return metrics.log_loss(y_onehot, forward(x, params, variant_model.tag))
-
-
 class TrainingObjective:
-    """:func:`objective` bound to one training set, plus a population method.
+    """Log loss of the forward pass at a trainable vector, on one training set.
 
     Calling it with one trainable vector is the reference path: it runs
     :func:`embed_trainable` and :func:`forward`, then the loss on the labels

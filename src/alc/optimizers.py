@@ -8,13 +8,13 @@ evaluation count and the timing. The incumbent moves only to a strictly lower
 value, and among equal minima (0.0 and -0.0 included) the lowest agent index
 wins: ``min(values)`` and then ``values.index(low)``.
 
-An objective is a callable ``f(vec) -> float`` on one ``(dim,)`` vector. It
-may also offer ``f.population(positions)``, mapping the whole ``(agents, dim)``
-population to an ``(agents,)`` array; ``_drive`` then makes one call per
-epoch instead of one per agent. Its values must be bit-equal to
-``[f(row) for row in positions]``, so that a run gives the same history and
-incumbent whichever path it takes. ``model.TrainingObjective`` and the
-benchmark suite's ``cec2019.SuiteObjective`` both offer one.
+``_drive`` scores a whole ``(agents, dim)`` population per epoch, through the
+objective's ``population(positions)`` method, which returns ``(agents,)``
+values. ``model.TrainingObjective`` and the benchmark suite's
+``cec2019.SuiteObjective`` offer one. A plain callable ``f(vec) -> float`` on
+one ``(dim,)`` vector is wrapped once, at entry, as ``[float(f(row)) for row
+in positions]``. Every epoch then takes the same path: shape check, finite
+check, first minimum.
 
 An algorithm supplies its unit draws per epoch and two functions:
 
@@ -142,21 +142,20 @@ def _drive(name, objective, cfg, per_epoch, terms, move):
     rng = RngStream(cfg.seed)
     positions = rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
     population = getattr(objective, "population", None)
+    if population is None:
+        population = lambda rows: [float(objective(row)) for row in rows]
     block = max(1, _BLOCK_DRAWS // per_epoch)
     last = cfg.epochs - 1
     best_x = None
     best_f = math.inf
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        if population is None:
-            values = [float(objective(row)) for row in positions]
-        else:
-            scored = np.asarray(population(positions), dtype=np.float64)
-            if scored.shape != (cfg.agents,):
-                raise ShapeError(
-                    f"{name}: population gave shape {scored.shape}, expected ({cfg.agents},)"
-                )
-            values = scored.tolist()
+        scored = np.asarray(population(positions), dtype=np.float64)
+        if scored.shape != (cfg.agents,):
+            raise ShapeError(
+                f"{name}: population gave shape {scored.shape}, expected ({cfg.agents},)"
+            )
+        values = scored.tolist()
         if not all(map(math.isfinite, values)):
             a = next(a for a, value in enumerate(values) if not math.isfinite(value))
             raise NumericError(

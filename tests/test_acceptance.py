@@ -204,7 +204,7 @@ def test_criterion_7b_zero_objective_equals_log_classes():
         full = model.make_variant(
             model.AlcParams(5, 8, o, np.zeros((5, 8)), np.zeros((8, o))), "full"
         )
-        value = model.objective(np.zeros(5 * 8 + 8 * o), x, y, full)
+        value = model.TrainingObjective(x, y, full)(np.zeros(5 * 8 + 8 * o))
         worst = max(worst, abs(value - math.log(o)))
     report("7b", worst <= 1e-12, f"objective(0) vs ln(classes) deviation {worst:.2e}")
 

@@ -11,7 +11,6 @@ from alc.cec2019 import (
     Transform,
     evaluate,
     load_transform,
-    make_objective,
     suite_info,
 )
 from alc.errors import AlcError, ParameterError, ShapeError
@@ -179,9 +178,9 @@ def test_evaluate_is_pure():
     assert np.array_equal(x, before)
 
 
-def test_objective_factory():
-    obj = make_objective("F10")
-    assert isinstance(obj, SuiteObjective) and (obj.fid, obj.transform) == ("F10", None)
+def test_suite_objective_binds_one_function():
+    obj = SuiteObjective("F10")
+    assert (obj.fid, obj.transform) == ("F10", None)
     assert obj(np.zeros(10)) == pytest.approx(1.0, abs=1e-9)
     assert obj.population(np.zeros((3, 10))) == pytest.approx([1.0] * 3, abs=1e-9)
 
@@ -189,7 +188,7 @@ def test_objective_factory():
 @pytest.mark.parametrize("shape", [(10,), (2, 9), (3, 10, 1)])
 def test_population_of_the_wrong_shape_is_rejected(shape):
     with pytest.raises(ShapeError, match="F4 expects rows of length 10"):
-        make_objective("F4").population(np.zeros(shape))
+        SuiteObjective("F4").population(np.zeros(shape))
 
 
 @st.composite
@@ -209,7 +208,7 @@ def suite_populations(draw):
     transform = None
     if fid not in ("F1", "F2", "F3") and draw(st.booleans()):
         transform = seeded_transform(rng, info.dim)
-    return make_objective(fid, transform), positions
+    return SuiteObjective(fid, transform), positions
 
 
 @settings(max_examples=300, deadline=None)
@@ -225,7 +224,7 @@ def test_run_is_identical_on_the_population_path(optimize, fid):
     # _drive scores a SuiteObjective one population per epoch, a plain callable one row per call.
     info = suite_info(fid)
     transform = None if fid in ("F1", "F2", "F3") else seeded_transform(np.random.default_rng(5), info.dim)
-    obj = make_objective(fid, transform)
+    obj = SuiteObjective(fid, transform)
     cfg = OptimizerConfig(epochs=30, agents=7, dim=info.dim, lower=info.lower, upper=info.upper, seed=3)
     batched, per_row = optimize(obj, cfg), optimize(lambda v: obj(v), cfg)
     assert np.array_equal(batched.history, per_row.history)
@@ -258,12 +257,12 @@ def test_transform_rejected_for_fixed_problems(tmp_path):
     with pytest.raises(ParameterError):
         evaluate("F1", np.zeros(9), transform)
     with pytest.raises(ParameterError, match="F1 is a fixed problem"):
-        make_objective("F1", transform)
+        SuiteObjective("F1", transform)
 
 
 def test_unknown_function_id_rejected_when_the_objective_is_made():
     with pytest.raises(ParameterError, match="unknown function id 'F11'"):
-        make_objective("F11")
+        SuiteObjective("F11")
 
 
 MISFITS = {
@@ -280,7 +279,7 @@ def test_transform_that_does_not_fit_is_rejected(name):
     shift, rotation, error = MISFITS[name]
     transform = Transform(shift=shift, rotation=rotation)
     with pytest.raises(error, match="F4"):
-        make_objective("F4", transform)
+        SuiteObjective("F4", transform)
     with pytest.raises(error, match="F4"):
         evaluate("F4", np.zeros(10), transform)
 

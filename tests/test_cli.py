@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alc import experiments, fetch, model
+from alc import data, errors, experiments, fetch, model
 from alc.cli import main, read_config_file
 from alc.data import load_dataset
 from alc.errors import ConfigError, IntegrityError, ParameterError
@@ -106,6 +106,72 @@ def test_crossval_lobule_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: --lobule-grid takes a comma list of integers" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", [",", ""])
+def test_lobule_grid_without_integers_is_a_config_error(tmp_path, capsys, grid):
+    code = run_cli("crossval", "--dataset", "iris", "--lobule-grid", grid, "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --lobule-grid takes a comma list of integers, got {grid!r}\n"
+
+
+def test_lobule_grid_widths_are_checked_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(experiments, "run_crossval", no_training)
+    code = run_cli("crossval", "--dataset", "iris", "--lobule-grid", "4,0", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == "error: lobules must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["crossval", "ablate", "optbench"])
+def test_jobs_below_one_fails_before_any_data_loads(tmp_path, capsys, monkeypatch, command, jobs):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(data, "load_dataset", no_work)
+    monkeypatch.setattr(experiments, "run_optbench", no_work)
+    dataset = () if command == "optbench" else ("--dataset", "iris")
+    code = run_cli(command, *dataset, "--jobs", jobs, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not list(tmp_path.iterdir())
+
+
+# The README's exit-code table; any other AlcError exits 1.
+DOCUMENTED_EXIT_CODES = {
+    "AlcError": 1,
+    "ShapeError": 1,
+    "ParameterError": 2,
+    "LobuleRangeError": 2,
+    "VariantError": 2,
+    "IngestError": 3,
+    "IntegrityError": 3,
+    "PersistenceError": 1,
+    "NumericError": 4,
+    "ConfigError": 2,
+    "AuditError": 1,
+    "InsufficientDataError": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        name for name, kind in vars(errors).items()
+        if isinstance(kind, type) and issubclass(kind, errors.AlcError)
+    ),
+)
+def test_every_error_class_exits_with_its_documented_code(capsys, monkeypatch, name):
+    def failing_fetch(*args, **kwargs):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(fetch, "fetch_dataset", failing_fetch)
+    assert run_cli("fetch", "iris") == DOCUMENTED_EXIT_CODES[name]
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_config_error_exit_code(tmp_path, capsys):

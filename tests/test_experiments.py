@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from alc import data, experiments, model
+from alc.cec2019 import SuiteObjective
 from alc.errors import ConfigError, ParameterError
 from alc.experiments import (
     DEFAULT_LOBULES,
@@ -74,9 +75,11 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         default_config("nope")
     with pytest.raises(ConfigError):
-        ExperimentConfig(dataset_id="iris", lobules=10, subsample=5, k_folds=10).validate()
+        ExperimentConfig(dataset_id="iris", lobules=10, subsample=5, k_folds=10)
     with pytest.raises(ConfigError):
         default_config("iris", seed=-1)
+    with pytest.raises(ConfigError, match="epochs"):
+        replace(default_config("iris"), epochs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +271,7 @@ def test_optbench_small_run():
     for row in result.stats:
         stats = multi_run(
             row["optimizer"],
-            __import__("alc.cec2019", fromlist=["make_objective"]).make_objective(row["function"]),
+            SuiteObjective(row["function"]),
             OptimizerConfig(epochs=20, agents=4, dim=10, lower=-100, upper=100, seed=7),
             runs=2,
         )

@@ -25,7 +25,6 @@ from alc.model import (
     load_model,
     lobule_average_map,
     make_variant,
-    objective,
     phase1,
     phase2,
     predict,
@@ -283,7 +282,8 @@ def test_objective_zero_vector_gives_log_class_count():
         x = rng.normal(size=(8, 4))
         y = np.eye(o)[rng.integers(0, o, 8)]
         theta = np.zeros(4 * 6 + 6 * o)
-        assert objective(theta, x, y, full_model(4, 6, o)) == pytest.approx(math.log(o), abs=1e-12)
+        obj = TrainingObjective(x, y, full_model(4, 6, o))
+        assert obj(theta) == pytest.approx(math.log(o), abs=1e-12)
 
 
 def test_objective_hand_built_separator_is_tiny():
@@ -294,7 +294,7 @@ def test_objective_hand_built_separator_is_tiny():
     theta = np.concatenate([cofactor.ravel(), vitamin.ravel()])
     x = np.array([[1.0], [-1.0]])
     y = np.eye(2)
-    assert objective(theta, x, y, full_model(1, 2, 2)) < 0.01
+    assert TrainingObjective(x, y, full_model(1, 2, 2))(theta) < 0.01
 
 
 @st.composite
@@ -372,7 +372,7 @@ def test_per_vector_calls_reuse_the_validated_labels(monkeypatch):
     x, y = rng.normal(size=(n, f)), np.eye(o)[rng.integers(0, o, n)]
     obj = TrainingObjective(x, y, vm)
     vectors = rng.uniform(-1.0, 1.0, (5, trainable_size(vm)))
-    expected = [objective(v, x, y, vm) for v in vectors]
+    expected = [metrics.log_loss(y, forward(x, embed_trainable(v, vm), vm.tag)) for v in vectors]
     calls = {"one_hot_labels": 0, "as_matrix": 0}
 
     def counted(name, fn):

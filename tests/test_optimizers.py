@@ -139,18 +139,19 @@ def test_non_finite_objective_aborts_with_location():
 def scripted_run(values, batched):
     """One-epoch IFOX run where agent ``a`` scores ``values[a]``.
 
-    ``batched`` picks the population path; otherwise the per-agent one.
+    ``batched`` gives the objective a population method; otherwise it is a
+    plain per-vector callable.
     """
     cfg = cfg_for(epochs=1, agents=len(values))
     # _drive's first population: the first draw of the run's stream
     positions = RngStream(cfg.seed).uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
 
-    def objective(x):
+    def scripted(x):
         return values[int(np.flatnonzero((positions == x).all(axis=1))[0])]
 
     if batched:
-        objective.population = lambda block: np.array(values)
-    return optimize_ifox(objective, cfg), positions
+        scripted.population = lambda block: np.array(values)
+    return optimize_ifox(scripted, cfg), positions
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["per-agent", "population"])
@@ -168,12 +169,30 @@ def test_equal_minima_keep_the_lowest_agent(batched):
 
 
 def test_population_of_the_wrong_shape_is_rejected():
-    def objective(x):
+    def constant(x):
         return 1.0
 
-    objective.population = lambda positions: np.zeros(len(positions) + 1)
+    constant.population = lambda positions: np.zeros(len(positions) + 1)
     with pytest.raises(ShapeError, match="population gave shape"):
-        optimize_ifox(objective, cfg_for(agents=2))
+        optimize_ifox(constant, cfg_for(agents=2))
+
+
+@pytest.mark.parametrize(
+    "as_float, as_other",
+    [
+        (lambda x: float(round(sphere(x))), lambda x: round(sphere(x))),
+        (sphere, lambda x: np.asarray(sphere(x))),
+    ],
+    ids=["int", "0-d array"],
+)
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_plain_callables_score_like_float_ones(name, as_float, as_other):
+    cfg = cfg_for(dim=3, epochs=40, agents=5, lower=-4.0, upper=4.0)
+    reference = OPTIMIZERS[name](as_float, cfg)
+    run = OPTIMIZERS[name](as_other, cfg)
+    assert run.best_x.tobytes() == reference.best_x.tobytes()
+    assert run.history.tobytes() == reference.history.tobytes()
+    assert run.best_f == reference.best_f and type(run.best_f) is float
 
 
 def test_multi_run_single():
@@ -243,7 +262,7 @@ def test_non_finite_agent_is_named_after_many_small_blocks(monkeypatch, name, ba
     cfg = cfg_for(epochs=60, agents=6)
     calls = [0]
 
-    def objective(x):
+    def poisoned(x):
         epoch, agent = divmod(calls[0], cfg.agents)
         calls[0] += 1
         return float("nan") if (epoch, agent) == (37, 4) else sphere(x)
@@ -257,9 +276,9 @@ def test_non_finite_agent_is_named_after_many_small_blocks(monkeypatch, name, ba
                 values[4] = np.nan
             return values
 
-        objective.population = population
+        poisoned.population = population
     with pytest.raises(NumericError, match=rf"^{name}: objective returned nan at epoch 37, agent 4$"):
-        OPTIMIZERS[name](objective, cfg)
+        OPTIMIZERS[name](poisoned, cfg)
 
 
 def traced_peak(optimize, objective, cfg):
