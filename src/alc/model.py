@@ -298,9 +298,10 @@ class TrainingObjective:
         elif variant_model.tag == "random-cofactor":
             self._frozen_hidden = _class_major_phase(params.cofactor, self.x_t)
             np.maximum(self._frozen_hidden, 0.0, out=self._frozen_hidden)
-        # Phase-1 output of the last population and the label indices for its
-        # agent count, reused while the shape holds: a fresh array per epoch is
-        # returned to the OS when freed and page-faulted back in by the next.
+        # Phase-1 output and label indices for the largest population yet, of
+        # which each call uses a prefix: a fresh array per epoch is returned to
+        # the OS when freed and page-faulted back in by the next, and the
+        # optimizers' look-ahead windows vary the row count from call to call.
         self._hidden = None
         self._take = None
 
@@ -332,18 +333,18 @@ class TrainingObjective:
             vitamin = positions[:, size - p * o :].reshape(agents, p, o)
         hidden = self._frozen_hidden
         if hidden is None:
-            if self._hidden is None or self._hidden.shape[0] != agents:
+            if self._hidden is None or len(self._hidden) < agents:
                 self._hidden = np.empty((agents, p, n))
-            hidden = _class_major_phase(cofactor, self.x_t, out=self._hidden)
+            hidden = _class_major_phase(cofactor, self.x_t, out=self._hidden[:agents])
             np.maximum(hidden, 0.0, out=hidden)
         if self._readout_t is None:
             scores = _class_major_phase(vitamin, hidden)
         else:
             scores = np.matmul(self._readout_t, hidden)
         e, total = numkit.softmax_classes(scores, out=scores)
-        if self._take is None or self._take.shape[0] != agents:
+        if self._take is None or len(self._take) < agents:
             self._take = self._label_index + np.arange(0, agents * o * n, o * n)[:, None]
-        picked = e.take(self._take)
+        picked = e.take(self._take[:agents])
         picked /= total
         return metrics.label_log_loss(picked)
 

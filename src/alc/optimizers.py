@@ -8,23 +8,43 @@ evaluation count and the timing. The incumbent moves only to a strictly lower
 value, and among equal minima (0.0 and -0.0 included) the lowest agent index
 wins: ``min(values)`` and then ``values.index(low)``.
 
-``_drive`` scores a whole ``(agents, dim)`` population per epoch, through the
-objective's ``population(positions)`` method, which returns ``(agents,)``
-values. ``model.TrainingObjective`` and the benchmark suite's
+``_drive`` asks for fitness only through the objective's
+``population(positions)`` method, which scores every row of a ``(rows,
+dim)`` block and returns ``(rows,)`` values, each row independently of the
+others. ``model.TrainingObjective`` and the benchmark suite's
 ``cec2019.SuiteObjective`` offer one. A plain callable ``f(vec) -> float`` on
 one ``(dim,)`` vector is wrapped once, at entry, as ``[float(f(row)) for row
-in positions]``. Every epoch then takes the same path: shape check, finite
-check, first minimum.
+in positions]``. Every call then takes the same path: shape check, then per
+epoch a finite check and the first minimum.
+
+A ``population`` call may hold the rows of several epochs: a look-ahead
+window. While the incumbent holds, the next epochs' populations depend only
+on the draws, so ``_drive`` moves them all from the current incumbent and
+scores them in one call. It then accepts the epochs in order, up to and
+including the first that improves the incumbent, and discards the rows
+after it, which the next window recomputes from the new incumbent. Every
+accepted epoch was therefore moved from the incumbent that one epoch at a
+time would have used, by the same arithmetic, and results are bit for bit
+those of scoring one epoch per call. A discarded row is never checked, so a
+non-finite value there raises nothing. ``OptimizerRun.evals`` counts the
+accepted evaluations, ``epochs * agents``; ``OptimizerRun.scored`` counts
+every row the objective scored, discarded ones included. A window spans
+``min(4, max(1, streak // 2))`` epochs, where ``streak`` is the number of
+epochs since the incumbent last improved, and never crosses a draw block or
+the last epoch. A plain callable always gets one epoch per call, so each of
+its calls is one counted evaluation.
 
 An algorithm supplies its unit draws per epoch and two functions:
 
 * ``terms(first, u)`` turns a block of unit draws ``u``, one
   ``(count, per_epoch)`` array for the epochs ``first .. first + count - 1``,
-  into one tuple of terms per epoch: everything that depends only on the draws
-  and the epoch number, computed for the whole block with a few vectorised
-  ops;
-* ``move(best_x, *terms)`` is the rest of one epoch's step, the arithmetic on
-  the incumbent, and returns the next ``(agents, dim)`` population.
+  into a tuple of arrays with a leading step axis of ``count``, shaped to
+  broadcast against ``(count, agents, dim)``: everything that depends only on
+  the draws and the epoch number, computed for the whole block with a few
+  vectorised ops;
+* ``move(best_x, *terms)`` is the rest of the step for a slice of those
+  steps, the arithmetic on the incumbent, and returns the next
+  ``(steps, agents, dim)`` populations in one vectorised call.
 
 ``_drive`` draws a block with one ``rng.random((count, per_epoch))`` call: as
 many epochs as fit in ``_BLOCK_DRAWS`` draws (32 KB), or one epoch when a
@@ -50,8 +70,8 @@ whose moves would never be scored.
   kept as a control; its terms are the fresh box draws, and its move ignores
   the incumbent.
 
-Results are bit-identical to drawing and stepping one epoch at a time, which
-rests on these rules:
+Results are bit-identical to drawing, stepping and scoring one epoch at a
+time, which rests on these rules:
 
 * ``Generator.random`` gives the same doubles as ``uniform(0.0, 1.0)``, and one
   ``(count, per_epoch)`` draw equals ``count`` consecutive per-epoch draws, in
@@ -61,7 +81,10 @@ rests on these rules:
   of contiguous rows has the bits of the 1-D sum ``ndarray.mean`` takes;
 * every elementwise op keeps its operand order, so ``0.5 * best_x * scaled /
   jump`` runs as ``((0.5 * best_x) * scaled) / jump``, never with the
-  per-block factors combined first.
+  per-block factors combined first; a term broadcast along the step axis is
+  the same double per element as the per-epoch scalar it replaces;
+* a ``population`` row's value does not depend on the other rows in the
+  call, nor on how many there are.
 
 Agents are deliberately not clamped back into the init box after moves; the
 box only shapes the initial population. Draws come from one stream per run in
@@ -112,7 +135,8 @@ class OptimizerRun:
     best_x: np.ndarray
     best_f: float
     history: np.ndarray
-    evals: int
+    evals: int  # accepted evaluations: epochs * agents
+    scored: int  # rows the objective scored, look-ahead rows discarded after an improvement included
     wall_time: float
 
 
@@ -136,38 +160,58 @@ def jump(t):
 _BLOCK_DRAWS = 4096
 
 
+# Most epochs one look-ahead window scores (see the module docstring). A wider
+# window holds more populations at once, which raises a run's peak memory.
+_WINDOW = 4
+
+
 def _drive(name, objective, cfg, per_epoch, terms, move):
     """The epoch loop shared by every optimizer (see the module docstring)."""
     start = time.perf_counter()
     rng = RngStream(cfg.seed)
-    positions = rng.uniform(cfg.lower, cfg.upper, size=(cfg.agents, cfg.dim))
+    agents, dim = cfg.agents, cfg.dim
+    positions = rng.uniform(cfg.lower, cfg.upper, size=(agents, dim))[None]
     population = getattr(objective, "population", None)
+    window = _WINDOW
     if population is None:
         population = lambda rows: [float(objective(row)) for row in rows]
+        window = 1
     block = max(1, _BLOCK_DRAWS // per_epoch)
     last = cfg.epochs - 1
     best_x = None
     best_f = math.inf
     history = np.empty(cfg.epochs)
-    for epoch in range(cfg.epochs):
-        scored = np.asarray(population(positions), dtype=np.float64)
-        if scored.shape != (cfg.agents,):
-            raise ShapeError(
-                f"{name}: population gave shape {scored.shape}, expected ({cfg.agents},)"
-            )
-        values = scored.tolist()
-        if not all(map(math.isfinite, values)):
-            a = next(a for a, value in enumerate(values) if not math.isfinite(value))
-            raise NumericError(
-                f"{name}: objective returned {values[a]!r} at epoch {epoch}, agent {a}"
-            )
-        # Python lists beat numpy reductions at a few dozen agents; min and
-        # index both keep the first agent among equal minima.
-        low = min(values)
-        if low < best_f:
-            best_f = low
-            best_x = positions[values.index(low)].copy()
-        history[epoch] = best_f
+    epoch = -1  # the last accepted epoch
+    streak = 0  # accepted epochs since the incumbent last improved
+    scored = 0
+    while True:
+        # positions holds the populations of epochs epoch + 1 .. epoch + steps
+        steps = len(positions)
+        rows = steps * agents
+        values = np.asarray(population(positions.reshape(rows, dim)), dtype=np.float64)
+        if values.shape != (rows,):
+            raise ShapeError(f"{name}: population gave shape {values.shape}, expected ({rows},)")
+        scored += rows
+        values = values.tolist()
+        for k in range(steps):
+            epoch += 1
+            epoch_values = values[k * agents : (k + 1) * agents]
+            if not all(map(math.isfinite, epoch_values)):
+                a = next(a for a, value in enumerate(epoch_values) if not math.isfinite(value))
+                raise NumericError(
+                    f"{name}: objective returned {epoch_values[a]!r} at epoch {epoch}, agent {a}"
+                )
+            # Python lists beat numpy reductions at a few dozen agents; min and
+            # index both keep the first agent among equal minima.
+            low = min(epoch_values)
+            streak += 1
+            if low < best_f:
+                best_f = low
+                best_x = positions[k, epoch_values.index(low)].copy()
+                streak = 0
+            history[epoch] = best_f
+            if not streak:
+                break  # the window's later epochs moved from the old incumbent
         if epoch == last:
             break
         i = epoch % block
@@ -175,12 +219,15 @@ def _drive(name, objective, cfg, per_epoch, terms, move):
             # the spent block (positions may be a view of it) goes before the next is drawn
             planned = positions = None
             planned = terms(epoch, rng.random((min(block, last - epoch), per_epoch)))
-        positions = move(best_x, *planned[i])
+        # the slices stop at the block's end, so a window never crosses a block or the last epoch
+        steps = min(window, max(1, streak // 2))
+        positions = move(best_x, *(term[i : i + steps] for term in planned))
     return OptimizerRun(
         best_x=best_x,
         best_f=best_f,
         history=history,
-        evals=cfg.epochs * cfg.agents,
+        evals=cfg.epochs * agents,
+        scored=scored,
         wall_time=time.perf_counter() - start,
     )
 
@@ -192,7 +239,7 @@ def optimize_ifox(objective, cfg):
         epochs = range(first, first + len(u))
         alpha = np.array([alpha_schedule(epoch, cfg.epochs) for epoch in epochs])[:, None, None]
         means = np.add.reduce(u[:, :dim], axis=-1) / dim
-        jump_term = [jump(0.5 * mean) for mean in means.tolist()]
+        jump_term = np.array([jump(0.5 * mean) for mean in means.tolist()])[:, None, None]
         u = u[:, dim:].reshape(len(u), cfg.agents, dim + 1)
         # beta is lo + (hi - lo) * u, the arithmetic of rng.uniform(lo, hi), added
         # in place (the sum's bits do not depend on operand order); then times alpha
@@ -200,7 +247,7 @@ def optimize_ifox(objective, cfg):
         scaled += -alpha
         scaled *= alpha
         explore = u[..., dim:] < alpha
-        return list(zip(scaled, explore, jump_term))
+        return scaled, explore, jump_term
 
     def move(best_x, scaled, explore, jump_term):
         out = (0.5 * best_x) * scaled
@@ -232,7 +279,7 @@ def optimize_fox(objective, cfg):
         min_time = running[-1]
         # 1-based iteration in the exploration adjustment term
         adjustment = 2.0 * (np.arange(first + 1, first + 1 + len(u)) - 1.0 / cfg.epochs)
-        return list(zip(jump_term, direction, walk, mask, running[:-1], adjustment))
+        return jump_term, direction, walk, mask, running[:-1, None, None], adjustment[:, None, None]
 
     def move(best_x, jump_term, direction, walk, mask, min_time, adjustment):
         explore = best_x * walk
@@ -254,7 +301,7 @@ def optimize_random(objective, cfg):
         # lo + (hi - lo) * u, the arithmetic of rng.uniform(lo, hi), in place
         u *= upper - lower
         u += lower
-        return list(zip(u.reshape(len(u), cfg.agents, cfg.dim)))
+        return (u.reshape(len(u), cfg.agents, cfg.dim),)
 
     return _drive("random", objective, cfg, cfg.agents * cfg.dim, terms, lambda best_x, box: box)
 

@@ -410,6 +410,24 @@ def test_population_reuses_its_phase1_array():
     assert peak < 1.5 * phase1_bytes, f"second call peaked at {peak / phase1_bytes:.2f}x the phase-1 array"
 
 
+def test_population_row_counts_may_vary_between_calls():
+    # The optimizers' look-ahead windows vary the row count from call to call:
+    # a smaller population runs in a prefix of the arrays kept for the largest.
+    rng = np.random.default_rng(4)
+    n, f, p, o = 135, 4, 5, 3
+    vm = make_variant(make_params(f, p, o), "full")
+    obj = TrainingObjective(rng.normal(size=(n, f)), np.eye(o)[rng.integers(0, o, n)], vm)
+    positions = rng.uniform(-1.0, 1.0, (40, trainable_size(vm)))
+    expected = [obj(v) for v in positions]
+    kept = None
+    for rows in (10, 40, 30, 20, 40, 1):
+        assert np.array_equal(obj.population(positions[:rows]), expected[:rows])
+        if rows == 40:
+            kept = kept or (obj._hidden, obj._take)
+            assert len(obj._hidden) == 40
+    assert obj._hidden is kept[0] and obj._take is kept[1]
+
+
 @settings(max_examples=20, deadline=None)
 @given(training_problems(), st.integers(0, 2**31))
 def test_ifox_run_is_identical_on_either_path(problem, seed):

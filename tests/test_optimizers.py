@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from alc import optimizers
+from alc.cec2019 import SuiteObjective, suite_info
 from alc.errors import NumericError, ParameterError, ShapeError
 from alc.optimizers import (
     OPTIMIZERS,
@@ -16,6 +18,7 @@ from alc.optimizers import (
     optimize_ifox,
     optimize_random,
 )
+from alc.model import AlcParams, TrainingObjective, make_variant
 from alc.numkit import RngStream
 
 
@@ -307,3 +310,125 @@ def test_draw_blocks_keep_peak_memory_bounded(name):
         traced_peak(OPTIMIZERS[name], ShiftedSphere(), cfg_for(dim=10, epochs=e, agents=10)) for e in (50, 500)
     )
     assert long - short <= (500 - 50) * 8 + 4096  # the history, and some small Python objects
+
+
+# ---------------------------------------------------------------------------
+# look-ahead windows
+
+
+class Recorded:
+    """A population objective that keeps the row count of every call."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.calls = []
+
+    def population(self, positions):
+        self.calls.append(len(positions))
+        return self.objective.population(positions)
+
+
+def iris_shaped_training():
+    """A ``full`` model's loss at iris training shapes: 135 rows, 4 features, 5 lobules, 3 classes."""
+    n, f, p, o = 135, 4, 5, 3
+    rng = np.random.default_rng(0)
+    vm = make_variant(AlcParams(f, p, o, np.zeros((f, p)), np.zeros((p, o))), "full")
+    return TrainingObjective(rng.normal(size=(n, f)), np.eye(o)[np.arange(n) % o], vm)
+
+
+def suite_case(fid):
+    info = suite_info(fid)
+    return SuiteObjective(fid), info.dim, info.lower, info.upper
+
+
+# label -> (objective with a population method, dim, lower, upper)
+LOOKAHEAD_CASES = {
+    "shifted sphere": (ShiftedSphere(), 4, -10.0, 10.0),  # frequent improvements
+    "stall off the origin": (ShiftedSphere(), 4, 0.5, 2.0),  # FOX stops improving
+    "F2": suite_case("F2"),
+    "F7": suite_case("F7"),
+    "iris training": (iris_shaped_training(), 35, -1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("block_draws", [7, optimizers._BLOCK_DRAWS, 10**9])
+@pytest.mark.parametrize("agents", [2, 10, 33])
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_lookahead_windows_match_one_epoch_per_call(monkeypatch, name, agents, block_draws):
+    monkeypatch.setattr(optimizers, "_BLOCK_DRAWS", block_draws)
+    for label, (objective, dim, lower, upper) in LOOKAHEAD_CASES.items():
+        cfg = cfg_for(dim=dim, epochs=60, agents=agents, lower=lower, upper=upper)
+        # the plain per-vector twin is scored one epoch per call
+        reference = OPTIMIZERS[name](objective.__call__, cfg)
+        recorded = Recorded(objective)
+        run = OPTIMIZERS[name](recorded, cfg)
+        assert run.history.tobytes() == reference.history.tobytes(), label
+        assert run.best_x.tobytes() == reference.best_x.tobytes(), label
+        assert run.best_f == reference.best_f, label
+        assert run.evals == reference.evals == reference.scored == cfg.epochs * agents
+        assert run.scored == sum(recorded.calls) >= run.evals
+        assert all(rows % agents == 0 for rows in recorded.calls)
+        assert max(recorded.calls) <= optimizers._WINDOW * agents
+        if block_draws == 7:  # one epoch a block, and windows never cross a block
+            assert set(recorded.calls) == {agents}, label
+        if block_draws == 10**9 and label == "stall off the origin" and name == "fox":
+            assert max(recorded.calls) == optimizers._WINDOW * agents
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+def test_plain_callables_are_called_once_per_evaluation(name):
+    calls = [0]
+
+    def counting(x):
+        calls[0] += 1
+        return ShiftedSphere()(x)
+
+    cfg = cfg_for(dim=4, epochs=80, agents=5, lower=0.5, upper=2.0)
+    run = OPTIMIZERS[name](counting, cfg)
+    assert calls[0] == run.evals == run.scored == cfg.epochs * cfg.agents
+
+
+class Planted(ShiftedSphere):
+    """ShiftedSphere that scores nan at one row's content and keeps every population call."""
+
+    def __init__(self, nan_at=None):
+        self.nan_at = nan_at
+        self.calls = []
+
+    def __call__(self, x):
+        return math.nan if x.tobytes() == self.nan_at else super().__call__(x)
+
+    def population(self, positions):
+        self.calls.append(positions.copy())
+        values = super().population(positions)
+        values[[row.tobytes() == self.nan_at for row in positions]] = np.nan
+        return values
+
+
+def test_nan_counts_only_in_accepted_epochs():
+    cfg = cfg_for(dim=4, epochs=200, agents=6)
+    accepted = []
+
+    def plain(x):
+        accepted.append(x.tobytes())
+        return ShiftedSphere()(x)
+
+    reference = optimize_ifox(plain, cfg)
+    probe = Planted()
+    optimize_ifox(probe, cfg)
+    seen = set(accepted)
+    windows = [block for block in probe.calls if len(block) > cfg.agents]
+    discarded = [row.tobytes() for block in windows for row in block if row.tobytes() not in seen]
+    assert discarded  # some window looked past an improvement
+    run = optimize_ifox(Planted(nan_at=discarded[0]), cfg)
+    assert run.history.tobytes() == reference.history.tobytes()
+    assert run.best_x.tobytes() == reference.best_x.tobytes()
+    assert run.scored > run.evals
+
+    # an accepted row from a window's second epoch or later
+    row = next(r.tobytes() for block in windows for r in block[cfg.agents :] if r.tobytes() in seen)
+    epoch, agent = divmod(accepted.index(row), cfg.agents)
+    assert epoch > 0
+    for objective in (Planted(nan_at=row), Planted(nan_at=row).__call__):
+        with pytest.raises(NumericError, match=rf"^ifox: objective returned nan at epoch {epoch}, agent {agent}$"):
+            optimize_ifox(objective, cfg)
