@@ -186,6 +186,8 @@ def _cmd_ablate(args):
 def _cmd_optbench(args):
     function_ids = tuple(v.strip() for v in args.functions.split(",") if v.strip())
     optimizer_ids = tuple(v.strip() for v in args.optimizers.split(",") if v.strip())
+    # checked again by run_optbench, but here before any file is read or made
+    function_ids, optimizer_ids = experiments.optbench_ids(function_ids, optimizer_ids)
     transforms = {}
     if args.transform_dir:
         if not Path(args.transform_dir).is_dir():

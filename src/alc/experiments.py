@@ -398,6 +398,27 @@ def _optbench_cell(args):
     return row, [r.history for r in stats.runs]
 
 
+def optbench_ids(function_ids, optimizer_ids):
+    """Both id lists as tuples, once each is non-empty, known and free of repeats.
+
+    An empty list would run nothing and write empty reports, and a repeated id
+    would run its cells twice and rank them as one function of extra entries.
+    """
+    function_ids, optimizer_ids = tuple(function_ids), tuple(optimizer_ids)
+    for fid in function_ids:
+        cec2019.suite_info(fid)
+    for opt in optimizer_ids:
+        if opt not in OPTIMIZERS:
+            raise ParameterError(f"unknown optimizer {opt!r}")
+    for kind, ids in (("function", function_ids), ("optimizer", optimizer_ids)):
+        if not ids:
+            raise ParameterError(f"no {kind} ids given")
+        repeated = [name for i, name in enumerate(ids) if name in ids[:i]]
+        if repeated:
+            raise ParameterError(f"{kind} id {repeated[0]!r} is given more than once")
+    return function_ids, optimizer_ids
+
+
 def run_optbench(
     function_ids=cec2019.FUNCTION_IDS,
     optimizer_ids=("ifox", "fox"),
@@ -409,9 +430,7 @@ def run_optbench(
     transforms=None,
 ):
     """Benchmark optimizers over the suite; same derived seeds per cell."""
-    for opt in optimizer_ids:
-        if opt not in OPTIMIZERS:
-            raise ParameterError(f"unknown optimizer {opt!r}")
+    function_ids, optimizer_ids = optbench_ids(function_ids, optimizer_ids)
     transforms = transforms or {}
     tasks = [
         (fid, opt, runs, epochs, agents, seed, transforms.get(fid))

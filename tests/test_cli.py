@@ -453,6 +453,31 @@ def test_optbench_transform_dir_must_be_a_directory(tmp_path, capsys, kind):
     assert not (tmp_path / "optbench").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--functions", ",", "no function ids given"),
+        ("--functions", " , ", "no function ids given"),
+        ("--optimizers", ",", "no optimizer ids given"),
+        ("--functions", "F4,F10,F4", "function id 'F4' is given more than once"),
+        ("--optimizers", "ifox,fox,fox", "optimizer id 'fox' is given more than once"),
+        ("--functions", "F4,F11", "unknown function id 'F11'"),
+        ("--optimizers", "ifox,sgd", "unknown optimizer 'sgd'"),
+    ],
+)
+def test_optbench_rejects_empty_repeated_or_unknown_ids(tmp_path, capsys, monkeypatch, flag, value, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiments, "_map_tasks", no_work)
+    code = run_cli("optbench", flag, value, "--runs", "1", "--epochs", "2", "--agents", "2",
+                   "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "optbench").exists()
+
+
 # ---------------------------------------------------------------------------
 # fetch
 

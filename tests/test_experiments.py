@@ -287,6 +287,21 @@ def test_optbench_rejects_unknown_optimizer():
         run_optbench(function_ids=("F4",), optimizer_ids=("sgd",), runs=1, epochs=2, agents=2)
 
 
+@pytest.mark.parametrize(
+    "function_ids, optimizer_ids, message",
+    [
+        ((), ("ifox",), "no function ids given"),
+        (("F4",), (), "no optimizer ids given"),
+        (("F4", "F4"), ("ifox", "fox"), "function id 'F4' is given more than once"),
+        (("F4",), ("ifox", "ifox"), "optimizer id 'ifox' is given more than once"),
+    ],
+)
+def test_optbench_rejects_empty_or_repeated_ids(function_ids, optimizer_ids, message):
+    # a repeated id would run its cells twice and rank them as one function of extra entries
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        run_optbench(function_ids=function_ids, optimizer_ids=optimizer_ids, runs=1, epochs=2, agents=2)
+
+
 def test_rank_table_single_optimizer():
     rows = [{"function": f"F{i}", "optimizer": "ifox", "mean": float(i)} for i in range(1, 11)]
     table = build_rank_table(rows)
