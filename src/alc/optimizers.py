@@ -175,7 +175,7 @@ def _drive(name, objective, cfg, per_epoch, terms, move):
     window = _WINDOW
     if population is None:
         population = lambda rows: [float(objective(row)) for row in rows]
-        window = 1
+        window = 1  # so that each call of a plain callable is one counted evaluation
     block = max(1, _BLOCK_DRAWS // per_epoch)
     last = cfg.epochs - 1
     best_x = None
@@ -221,7 +221,7 @@ def _drive(name, objective, cfg, per_epoch, terms, move):
             planned = terms(epoch, rng.random((min(block, last - epoch), per_epoch)))
         # the slices stop at the block's end, so a window never crosses a block or the last epoch
         steps = min(window, max(1, streak // 2))
-        positions = move(best_x, *(term[i : i + steps] for term in planned))
+        positions = move(best_x, *[term[i : i + steps] for term in planned])
     return OptimizerRun(
         best_x=best_x,
         best_f=best_f,

@@ -7,6 +7,7 @@ import pytest
 from alc import optimizers
 from alc.cec2019 import SuiteObjective, suite_info
 from alc.errors import NumericError, ParameterError, ShapeError
+from alc.model import AlcParams, TrainingObjective, make_variant
 from alc.optimizers import (
     OPTIMIZERS,
     MultiRunStats,
@@ -18,7 +19,6 @@ from alc.optimizers import (
     optimize_ifox,
     optimize_random,
 )
-from alc.model import AlcParams, TrainingObjective, make_variant
 from alc.numkit import RngStream
 
 
@@ -371,7 +371,7 @@ def test_lookahead_windows_match_one_epoch_per_call(monkeypatch, name, agents, b
         assert max(recorded.calls) <= optimizers._WINDOW * agents
         if block_draws == 7:  # one epoch a block, and windows never cross a block
             assert set(recorded.calls) == {agents}, label
-        if block_draws == 10**9 and label == "stall off the origin" and name == "fox":
+        if block_draws != 7 and label == "stall off the origin" and name == "fox":
             assert max(recorded.calls) == optimizers._WINDOW * agents
 
 
