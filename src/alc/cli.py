@@ -201,9 +201,9 @@ def _cmd_optbench(args):
         function_ids=function_ids,
         optimizer_ids=optimizer_ids,
         runs=args.runs,
-        epochs=args.epochs if args.epochs is not None else experiments.DEFAULT_EPOCHS,
-        agents=args.agents if args.agents is not None else experiments.DEFAULT_AGENTS,
-        seed=args.seed if args.seed is not None else 1,
+        epochs=args.epochs,
+        agents=args.agents,
+        seed=args.seed,
         jobs=args.jobs,
         transforms=transforms,
     )
@@ -271,9 +271,9 @@ def build_parser():
     p_ob.add_argument("--functions", default=",".join(cec2019.FUNCTION_IDS))
     p_ob.add_argument("--optimizers", default="ifox,fox")
     p_ob.add_argument("--runs", type=int, default=30)
-    p_ob.add_argument("--epochs", type=int)
-    p_ob.add_argument("--agents", type=int)
-    p_ob.add_argument("--seed", type=int)
+    p_ob.add_argument("--epochs", type=int, default=experiments.DEFAULT_EPOCHS)
+    p_ob.add_argument("--agents", type=int, default=experiments.DEFAULT_AGENTS)
+    p_ob.add_argument("--seed", type=int, default=1)
     p_ob.add_argument("--out-dir", dest="out_dir", default="out")
     p_ob.add_argument("--format", choices=("csv", "json"), default="csv")
     p_ob.add_argument("--jobs", type=int, default=1)

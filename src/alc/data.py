@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +104,6 @@ def require_train(view, what):
 # ingestion
 
 
-# Rows per block of feature cells converted by one numpy call while reading a
-# CSV; bounds the cell strings held at once.
-CSV_BLOCK_ROWS = 512
-
 # Characters per block of lines that numpy's C text reader is handed, each
 # block searched once for the characters below.
 C_READER_BLOCK_CHARS = 1 << 16
@@ -144,16 +139,13 @@ def _read_csv(path, has_header, label_column=None):
     longer than csv's 131,072 characters, past the first data row, is read
     rather than refused.
 
-    The streaming reader makes one pass over ``csv.reader``. Feature cells
-    are collected in blocks of :data:`CSV_BLOCK_ROWS` rows, and each full
-    block becomes float64 in one ``np.array`` call, which parses each string
-    with ``float()``, so only one block of strings is held at a time. A block
-    that fails to convert is scanned again cell by cell, only to name the bad
-    cell. The first bad row wins: a ragged row is reported after the rows
-    before it are converted, and a non-finite value only when every cell
-    parsed. A file that cannot be read as CSV text (a directory, undecodable
-    bytes, a cell over csv's field size limit) is an :class:`IngestError`
-    naming the file.
+    The streaming reader makes one pass over ``csv.reader``: it checks each
+    row's width, runs ``float()`` on each feature cell as it is read and
+    packs the row's values onto one ``bytearray``, which becomes the matrix.
+    The first bad row wins, and in it the first bad cell; a non-finite value
+    is reported only when every cell parsed. A file that cannot be read as
+    CSV text (a directory, undecodable bytes, a cell over csv's field size
+    limit) is an :class:`IngestError` naming the file.
     """
     path = Path(path)
     if not path.exists():
@@ -261,49 +253,26 @@ def _parse_csv(path, reader, has_header, label_column):
             raise IngestError(f"{path} has a header but no data rows")
     n_cols = len(first)
     label_idx, feature_idx, feature_names = _csv_columns(path, header, n_cols, label_column)
-    # One slice takes the features unless a label column splits them; a
-    # slice also keeps a single feature a one-cell row rather than a string.
-    lo, hi = feature_idx[0], feature_idx[-1] + 1
-    pick = itemgetter(slice(lo, hi)) if hi - lo == len(feature_idx) else itemgetter(*feature_idx)
-
-    def convert(block, done):
-        """float64 rows of ``block``, whose first row is data row ``done + 1``."""
-        try:
-            return np.array(block, dtype=np.float64)
-        except ValueError:
-            pass
-        values = np.empty((len(block), len(feature_idx)))
-        for r, cells in enumerate(block):
-            for j, cell in enumerate(cells):
-                try:
-                    values[r, j] = float(cell)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}: cannot parse {cell.strip()!r} at row {done + r + 1}, "
-                        f"column {feature_idx[j] + 1}"
-                    ) from None
-        return values
-
-    parts, block, labels, done = [], [], [], 0
+    pack = struct.Struct(f"{len(feature_idx)}d").pack
+    values, labels, n = bytearray(), [], 0
     for row in chain((first,), reader):
         if not row:
             continue
+        n += 1
         if len(row) != n_cols:
-            if block:
-                convert(block, done)
-            raise IngestError(
-                f"{path}: row {done + len(block) + 1} has {len(row)} cells, expected {n_cols}"
-            )
-        block.append(pick(row))
+            raise IngestError(f"{path}: row {n} has {len(row)} cells, expected {n_cols}")
         if label_idx is not None:
-            labels.append(row[label_idx].strip())
-        if len(block) == CSV_BLOCK_ROWS:
-            parts.append(convert(block, done))
-            done += len(block)
-            block = []
-    if block:
-        parts.append(convert(block, done))
-    x = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            labels.append(row.pop(label_idx).strip())
+        cells = iter(row)
+        try:
+            values += pack(*map(float, cells))
+        except ValueError:
+            # map stopped at the bad cell, so the cells left after it place it
+            j = len(row) - len(list(cells)) - 1
+            raise IngestError(
+                f"{path}: cannot parse {row[j].strip()!r} at row {n}, column {feature_idx[j] + 1}"
+            ) from None
+    x = np.frombuffer(values).reshape(n, len(feature_idx))
     # float() accepts "nan" and "inf"; one vectorized pass rejects them.
     bad = ~np.isfinite(x)
     if bad.any():
@@ -394,10 +363,10 @@ def load_idx(images_path, labels_path, dataset_id="idx"):
     labels = label_bytes.astype(np.int64)
 
     if count != label_count:
-        raise IngestError(
-            f"image count {count} does not match label count {label_count}"
-        )
-    n_classes = int(labels.max()) + 1 if labels.size else 0
+        raise IngestError(f"image count {count} does not match label count {label_count}")
+    if images.size == 0:
+        raise IngestError(f"{images_path}: no pixels in {count} images of {n_rows}x{n_cols}")
+    n_classes = int(labels.max()) + 1
     return Dataset(
         x=images.astype(np.float64),
         y=labels,

@@ -108,9 +108,6 @@ class RngStream:
     def shuffle(self, a):
         self._gen.shuffle(a)
 
-    def permutation(self, n):
-        return self._gen.permutation(n)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self._key})"
 

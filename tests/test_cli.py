@@ -478,6 +478,20 @@ def test_optbench_rejects_empty_repeated_or_unknown_ids(tmp_path, capsys, monkey
     assert not (tmp_path / "optbench").exists()
 
 
+def test_optbench_defaults_epochs_agents_and_seed(tmp_path, monkeypatch):
+    seen = {}
+
+    def record(**kwargs):
+        seen.update(kwargs)
+        raise ParameterError("recorded")
+
+    monkeypatch.setattr(experiments, "run_optbench", record)
+    assert run_cli("optbench", "--out-dir", str(tmp_path)) == 2
+    assert (seen["epochs"], seen["agents"], seen["seed"]) == (
+        experiments.DEFAULT_EPOCHS, experiments.DEFAULT_AGENTS, 1
+    )
+
+
 # ---------------------------------------------------------------------------
 # fetch
 

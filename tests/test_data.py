@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from alc import data
 from alc.data import (
-    CSV_BLOCK_ROWS,
     SplitView,
     lda_fit,
     lda_transform,
@@ -43,6 +43,12 @@ def test_bundled_dataset_shapes(dataset_id, n, f, c):
     assert (ds.n_samples, ds.n_features, ds.n_classes) == (n, f, c)
     assert len(ds.feature_names) == f
     assert len(ds.label_names) == c
+
+
+@pytest.mark.parametrize("dataset_id", data.BUNDLED_DATASETS)
+def test_bundled_csvs_are_read_by_the_c_reader(dataset_id):
+    with resources.as_file(data.bundled_csv_path(dataset_id)) as path, path.open(newline="") as fh:
+        assert data._read_csv_c(path, fh, True, "label") is not None
 
 
 def test_unknown_dataset_id():
@@ -132,7 +138,7 @@ def test_load_features_reports_ragged_row(tmp_path):
         load_features(path, has_header=False)
 
 
-B = CSV_BLOCK_ROWS
+B = 512
 CELL_FORMATS = (repr, "%.6f".__mod__, "%e".__mod__, lambda v: f"  {v!r} ")
 
 
@@ -385,14 +391,20 @@ def test_csv_that_cannot_be_read_as_text_is_named(tmp_path, name, content, messa
         load_features(tmp_path)
 
 
-def test_csv_ingest_peak_memory_is_bounded_by_the_matrix(tmp_path):
+@pytest.mark.parametrize("label", ["{}", '"{}"'], ids=["c-reader", "streaming-reader"])
+def test_csv_ingest_peak_memory_is_bounded_by_the_matrix(tmp_path, label):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(20_000, 30))
     lines = [",".join([*(f"f{i}" for i in range(30)), "label"])]
-    lines.extend(",".join([*map(repr, row), "ab"[r % 2]]) for r, row in enumerate(x.tolist()))
+    lines.extend(
+        ",".join([*map(repr, row), label.format("ab"[r % 2])]) for r, row in enumerate(x.tolist())
+    )
     path = tmp_path / "big.csv"
     path.write_text("\n".join(lines) + "\n")
     del lines
+    with path.open(newline="") as fh:
+        # a quoted label cell leaves the file to the streaming reader
+        assert (data._read_csv_c(path, fh, True, "label") is None) == ('"' in label)
     tracemalloc.start()
     try:
         ds = load_csv(path, label_column="label")
@@ -473,6 +485,17 @@ def test_idx_count_mismatch(tmp_path):
     write_idx_images(images_path, np.zeros((4, 2, 2), dtype=np.uint8))
     write_idx_labels(labels_path, np.array([0, 1, 0], dtype=np.uint8))
     with pytest.raises(IngestError, match="does not match"):
+        load_idx(images_path, labels_path)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2)], ids=["no-images", "no-pixels"])
+def test_idx_without_pixels_is_an_ingest_error_naming_the_images(tmp_path, shape):
+    images_path = tmp_path / "imgs.idx"
+    labels_path = tmp_path / "lbls.idx"
+    write_idx_images(images_path, np.zeros(shape, dtype=np.uint8))
+    write_idx_labels(labels_path, np.arange(shape[0]) % 2)
+    count, rows, cols = shape
+    with pytest.raises(IngestError, match=rf"imgs\.idx: no pixels in {count} images of {rows}x{cols}$"):
         load_idx(images_path, labels_path)
 
 
