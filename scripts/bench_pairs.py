@@ -11,7 +11,11 @@ run's ``# digest`` and final result line go to ``--out``, with a summary per
 number of pairs the change won, and the ratio of the medians. An
 end-to-end metric whose median moved the wrong way by more than its bound, as
 a share of the parent's median, is marked ``beyond_bound`` and listed under
-the set's ``beyond_bound``. A pair with a failed run is left out of the
+the set's ``beyond_bound``. A metric is marked ``gain``, and listed under the
+set's ``gains``, when the change won at least nine in ten of the pairs run
+(a tie wins for neither side, and a pair with a failed run is not won) and
+its median moved the better way by more than the parent's interquartile
+range. A pair with a failed run is left out of the
 quartiles; its failed runs are counted per side under ``failed`` and make
 the set's ``correct`` false. An existing
 ``--out`` is extended rather than replaced, so workloads can be run one at a
@@ -88,6 +92,7 @@ def summarize(runs, directions, bounds=None):
                 continue
             parent, change = quartiles([a for a, _ in got]), quartiles([b for _, b in got])
             wins = sum((b > a) if better == "higher" else (b < a) for a, b in got)
+            gained = change["median"] - parent["median"] if better == "higher" else parent["median"] - change["median"]
             metrics[name] = {
                 "better": better,
                 "parent": parent,
@@ -96,10 +101,10 @@ def summarize(runs, directions, bounds=None):
                 "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
                 "parent_iqr": parent["q3"] - parent["q1"],
                 "median_difference": change["median"] - parent["median"],
+                "gain": 10 * wins >= 9 * len(pairs) and gained > parent["q3"] - parent["q1"],
             }
             if name in bounds:
-                worse = parent["median"] - change["median"] if better == "higher" else change["median"] - parent["median"]
-                metrics[name]["beyond_bound"] = worse > bounds[name] * abs(parent["median"])
+                metrics[name]["beyond_bound"] = -gained > bounds[name] * abs(parent["median"])
         summary[key] = {
             "pairs": len(whole),
             "digests": digests,
@@ -108,6 +113,7 @@ def summarize(runs, directions, bounds=None):
             "correct": not any(failed.values())
             and all(p[s]["result"]["correct"] for p in whole for s in ("parent", "change")),
             "beyond_bound": [name for name, m in metrics.items() if m.get("beyond_bound")],
+            "gains": [name for name, m in metrics.items() if m["gain"]],
             "metrics": metrics,
         }
     return summary

@@ -124,10 +124,15 @@ def _chebyshev(x, transform):
     for c in x.T:
         px *= ys
         px += c[:, None]
-    grid = np.abs(px[:, :-2])
-    sq = (1.0 - grid) ** 2
+    # (1 - |p|) ** 2 on the grid columns, in place (numpy computes ``** 2`` as
+    # a square, t * t); the edge columns stay as they are
+    grid = px[:, :-2]
+    np.abs(grid, out=grid)
+    keep = grid > 1.0
+    np.subtract(1.0, grid, out=grid)
+    grid *= grid
     # each row sums its own compacted values: a masked full-row sum adds in another order
-    penalty = [float(np.add.reduce(row[keep])) for row, keep in zip(sq, grid > 1.0)]
+    penalty = [float(np.add.reduce(row[mask])) for row, mask in zip(grid, keep)]
     for k, edges in enumerate(px[:, -2:].tolist()):
         for edge in edges:
             if edge < bound:
@@ -135,11 +140,20 @@ def _chebyshev(x, transform):
     return np.array(penalty)
 
 
+@lru_cache(maxsize=8)
+def _hilbert(b):
+    """F2's ``(b, b)`` Hilbert matrix and identity, built once per size and returned read-only."""
+    hilbert = 1.0 / (np.arange(b)[:, None] + np.arange(b)[None, :] + 1.0)
+    eye = np.eye(b)
+    hilbert.setflags(write=False)
+    eye.setflags(write=False)
+    return hilbert, eye
+
+
 def _inverse_hilbert(x, transform):
     a, d = x.shape
-    b = int(round(math.sqrt(d)))
-    hilbert = 1.0 / (np.arange(b)[:, None] + np.arange(b)[None, :] + 1.0)
-    residual = np.abs(np.matmul(hilbert, x.reshape(a, b, b)) - np.eye(b))
+    hilbert, eye = _hilbert(int(round(math.sqrt(d))))
+    residual = np.abs(np.matmul(hilbert, x.reshape(a, *hilbert.shape)) - eye)
     return residual.reshape(a, d).sum(axis=-1)
 
 
@@ -169,15 +183,18 @@ def _griewank(x, transform):
     return (z * z).sum(axis=-1) / 4000.0 - np.prod(np.cos(z / denom), axis=-1) + 1.0
 
 
-_W_A = 0.5 ** np.arange(21)  # Weierstrass a**k and b**k for k = 0..20
-_W_B = 3.0 ** np.arange(21)
-_W_CENTER = (_W_A * np.cos(2.0 * np.pi * _W_B * 0.5)).sum()
+_W_A = 0.5 ** np.arange(21)  # Weierstrass a**k for k = 0..20
+_W_ARG = 2.0 * np.pi * 3.0 ** np.arange(21)  # 2 pi b**k, the cosines' factor
+_W_CENTER = (_W_A * np.cos(_W_ARG * 0.5)).sum()
 
 
 def _weierstrass(x, transform):
     z = _shrunk(x, 0.5 / 100.0, transform) + 0.5
     a, d = z.shape
-    per_coord = _W_A * np.cos(2.0 * np.pi * _W_B * z[:, :, None])
+    # a**k cos(2 pi b**k z), in one (a, d, 21) array
+    per_coord = _W_ARG * z[:, :, None]
+    np.cos(per_coord, out=per_coord)
+    per_coord *= _W_A
     return per_coord.reshape(a, d * _W_A.size).sum(axis=-1) - d * _W_CENTER
 
 
@@ -198,7 +215,7 @@ def _modified_schwefel(x, transform):
 
 def _expanded_schaffer6(x, transform):
     z = _shrunk(x, 1.0, transform)
-    s2 = z**2 + np.roll(z, -1, axis=-1) ** 2
+    s2 = z**2 + np.concatenate((z[:, 1:], z[:, :1]), axis=1) ** 2
     return (0.5 + (np.sin(np.sqrt(s2)) ** 2 - 0.5) / (1.0 + 0.001 * s2) ** 2).sum(axis=-1)
 
 

@@ -196,6 +196,11 @@ def _cmd_optbench(args):
             path = Path(args.transform_dir) / f"{fid}.txt"
             if path.exists():
                 transforms[fid] = cec2019.load_transform(path, cec2019.suite_info(fid).dim)
+        if not transforms:
+            names = ", ".join(f"{fid}.txt" for fid in function_ids)
+            raise ParameterError(
+                f"--transform-dir {args.transform_dir} holds none of the transform files {names}"
+            )
     out_dir = _report_dir(args, "optbench")
     result = experiments.run_optbench(
         function_ids=function_ids,

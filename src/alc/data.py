@@ -130,8 +130,9 @@ def _read_csv(path, has_header, label_column=None):
     label. It parses each cell with ``PyOS_string_to_double``, the parser
     ``float()`` ends in, so its values are those of ``float(cell)`` bit for
     bit. Its result is used only if the call raised nothing, every feature
-    value is finite, no label cell holds a ``"`` and no line holds one of
-    :data:`C_READER_ONLY_SPACE`. Any other file is read again by the
+    value is finite and no data line holds a ``"`` or one of
+    :data:`C_READER_ONLY_SPACE`; each block of lines is searched before
+    ``np.loadtxt`` parses it. Any other file is read again by the
     streaming reader, and its value or error is returned unchanged, so quoted
     cells, ``1_0``, non-ASCII digits and every malformed file give the same
     values, messages, rows and columns on both. One divergence is known: the
@@ -224,19 +225,21 @@ def _read_csv_c(path, fh, has_header, label_column):
     else:
         x = np.concatenate((table["lead"], table["rest"]), axis=1)
         raw = table["label"].tolist()
-    if not np.isfinite(x).all() or '"' in "".join(raw):
+    if not np.isfinite(x).all():
         return None
     return feature_names, x, [cell.strip() for cell in raw]
 
 
 def _c_reader_lines(first_lines, fh):
     """``first_lines``, then the rest of ``fh`` in blocks; ValueError if any
-    line holds one of :data:`C_READER_ONLY_SPACE`."""
+    line holds a ``"`` or one of :data:`C_READER_ONLY_SPACE`."""
     block = first_lines
     while block:
         text = "".join(block)
-        if any(c in text for c in C_READER_ONLY_SPACE):
-            raise ValueError("a character numpy reads as space and float() refuses")
+        # only csv.reader unquotes a cell: np.loadtxt fails on a quoted
+        # feature and keeps the quotes of a quoted label
+        if any(c in text for c in '"' + C_READER_ONLY_SPACE):
+            raise ValueError("a quote, or a character numpy reads as space and float() refuses")
         yield from block
         block = fh.readlines(C_READER_BLOCK_CHARS)
 

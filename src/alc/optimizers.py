@@ -29,10 +29,11 @@ those of scoring one epoch per call. A discarded row is never checked, so a
 non-finite value there raises nothing. ``OptimizerRun.evals`` counts the
 accepted evaluations, ``epochs * agents``; ``OptimizerRun.scored`` counts
 every row the objective scored, discarded ones included. A window spans
-``min(4, max(1, streak // 2))`` epochs, where ``streak`` is the number of
+``min(16, max(1, streak // 2))`` epochs, where ``streak`` is the number of
 epochs since the incumbent last improved, and never crosses a draw block or
-the last epoch. A plain callable always gets one epoch per call, so each of
-its calls is one counted evaluation.
+the last epoch: a long stall, such as a FOX run whose incumbent stopped
+moving, is scored 16 epochs a call. A plain callable always gets one epoch
+per call, so each of its calls is one counted evaluation.
 
 An algorithm supplies its unit draws per epoch and two functions:
 
@@ -160,9 +161,12 @@ def jump(t):
 _BLOCK_DRAWS = 4096
 
 
-# Most epochs one look-ahead window scores (see the module docstring). A wider
-# window holds more populations at once, which raises a run's peak memory.
-_WINDOW = 4
+# Most epochs one look-ahead window scores (see the module docstring). Only a
+# long stall fills a window, and a run holds one at a time: ``_WINDOW * agents
+# * dim`` doubles plus the objective's temporaries for as many rows. At 10
+# agents and dim 10 that is 12.8 KB of populations, below the 32 KB block of
+# draws; the suite kernels keep their temporaries small by working in place.
+_WINDOW = 16
 
 
 def _drive(name, objective, cfg, per_epoch, terms, move):

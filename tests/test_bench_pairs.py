@@ -75,6 +75,38 @@ def test_a_median_that_moves_the_wrong_way_past_its_bound_is_flagged():
     assert got["beyond_bound"] == []
 
 
+def pairs_of(values):
+    """Alternating runs from ``[(parent evals_per_s, change evals_per_s), ...]``, pairs numbered from 1."""
+    runs = []
+    for pair, (parent, change) in enumerate(values, start=1):
+        runs += [run("parent", pair, parent, wall_s=1.0 / parent), run("change", pair, change, wall_s=1.0 / change)]
+    return runs
+
+
+def test_a_gain_needs_nine_wins_in_ten_and_a_move_past_the_parent_iqr():
+    directions = {"evals_per_s": "higher", "wall_s": "lower"}
+    # nine wins and one loss in ten pairs; the medians move by 19.5, the parent's IQR is 4.5
+    values = [(100.0 + k, 120.0 + k) for k in range(9)] + [(104.0, 103.0)]
+    got = bench_pairs.summarize(pairs_of(values), directions)[KEY]
+    assert got["metrics"]["evals_per_s"]["change_wins"] == 9
+    assert got["metrics"]["evals_per_s"]["gain"] is True
+    assert got["gains"] == ["evals_per_s", "wall_s"]  # each judged the way it is better
+    # a tie counts for neither side: two ties leave eight wins in ten
+    got = bench_pairs.summarize(pairs_of(values[:8] + [(104.0, 104.0)] * 2), directions)[KEY]
+    assert got["metrics"]["evals_per_s"]["change_wins"] == 8 and got["gains"] == []
+    # a pair with a failed run is not won: nine wins in eleven pairs run
+    runs = pairs_of(values[:9])
+    for pair in (10, 11):
+        runs += [run("parent", pair, 104.0), run("change", pair, None)]
+    got = bench_pairs.summarize(runs, directions)[KEY]
+    assert got["metrics"]["evals_per_s"]["change_wins"] == 9 and got["gains"] == []
+    # every pair won, but by less than the parent's own spread
+    values = [(100.0 + 10 * k, 101.0 + 10 * k) for k in range(10)]
+    got = bench_pairs.summarize(pairs_of(values), directions)[KEY]
+    assert got["metrics"]["evals_per_s"]["change_wins"] == 10 and got["gains"] == []
+    assert got["metrics"]["evals_per_s"]["gain"] is False
+
+
 def test_bounds_are_read_from_the_benchmark_spec():
     directions, bounds = bench_pairs.metric_rules()
     assert bounds and set(bounds) <= set(directions)

@@ -453,6 +453,26 @@ def test_optbench_transform_dir_must_be_a_directory(tmp_path, capsys, kind):
     assert not (tmp_path / "optbench").exists()
 
 
+@pytest.mark.parametrize("held", [[], ["F5.txt"]], ids=["empty", "other-functions"])
+def test_optbench_transform_dir_must_hold_a_requested_file(tmp_path, capsys, held):
+    transforms = tmp_path / "transforms"
+    transforms.mkdir()
+    identity = "\n".join(" ".join("1.0" if j == i else "0.0" for j in range(10)) for i in range(-1, 10))
+    for name in held:
+        (transforms / name).write_text(identity + "\n")
+    args = ["optbench", "--functions", "F4,F1", "--runs", "1", "--epochs", "2", "--agents", "2",
+            "--transform-dir", str(transforms), "--out-dir", str(tmp_path)]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: --transform-dir {transforms} holds none of the transform files F4.txt, F1.txt"
+    )
+    assert not (tmp_path / "optbench").exists()
+    # one requested file is enough: the other functions run untransformed
+    (transforms / "F4.txt").write_text(identity + "\n")
+    assert run_cli(*args) == 0
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -288,6 +288,32 @@ def test_c_reader_and_streaming_reader_agree(tmp_path_factory, case):
             assert data._read_csv_c(path, fh, has_header, label_column) is not None
 
 
+@pytest.mark.parametrize("row", [1, 4000], ids=["first-row", "later-block"])
+@pytest.mark.parametrize("quoted", ["label", "feature"])
+def test_the_c_reader_never_hands_loadtxt_a_quote(tmp_path, row, quoted):
+    # 5,000 rows of about 28 characters span three C reader blocks
+    lines = ["x,y,label"] + [f"{r},{r / 7!r},b" for r in range(1, 5001)]
+    lines[row] = f'{row},{row / 7!r},"b"' if quoted == "label" else f'"{row}",{row / 7!r},b'
+    path = tmp_path / "quoted.csv"
+    path.write_text("\n".join(lines) + "\n")
+    handed = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        def seen():
+            for line in source:
+                handed.append(line)
+                yield line
+
+        return loadtxt(seen(), *args, **kwargs)
+
+    with path.open(newline="") as fh, mock.patch.object(np, "loadtxt", spy):
+        assert data._read_csv_c(path, fh, True, "label") is None
+    assert not any('"' in line for line in handed)
+    ds = load_csv(path, label_column="label")  # the streaming reader unquotes the cell
+    assert ds.x.shape == (5000, 2) and ds.x[row - 1].tolist() == [row, row / 7]
+
+
 def _block_rows(n_rows, bad_row=None, bad_line=None):
     """An unlabelled 3-column CSV of ``n_rows`` data rows; ``bad_row`` (1-based) is replaced."""
     lines = ["a,b,c"]

@@ -298,6 +298,12 @@ def traced_peak(optimize, objective, cfg):
 # when each epoch drew its own unit numbers (numpy 2.4): (population path, per-agent path).
 PER_EPOCH_DRAW_PEAKS = {"ifox": (7.18, 7.18), "fox": (6.18, 6.18), "random": (3.11, 2.11)}
 
+# Traced peak of a dim-10, 10-agent, 1,000-epoch run beyond its history, in full
+# look-ahead windows (16 * 10 * 10 * 8 bytes; numpy 2.4). Most of it is the block
+# of draws and its terms; one window of populations and the objective's
+# temporaries for it are the rest.
+LONG_RUN_WINDOW_PEAKS = {"ifox": 9.78, "fox": 7.44, "random": 5.14}
+
 
 @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
 def test_draw_blocks_keep_peak_memory_bounded(name):
@@ -305,11 +311,16 @@ def test_draw_blocks_keep_peak_memory_bounded(name):
     for objective, before in zip((ShiftedSphere(), ShiftedSphere().__call__), PER_EPOCH_DRAW_PEAKS[name]):
         peak = traced_peak(OPTIMIZERS[name], objective, cfg)
         assert peak <= 1.1 * before * cfg.agents * cfg.dim * 8
-    # a longer run holds one block of draws at a time (tens of KB here): only its history grows
-    short, long = (
-        traced_peak(OPTIMIZERS[name], ShiftedSphere(), cfg_for(dim=10, epochs=e, agents=10)) for e in (50, 500)
-    )
-    assert long - short <= (500 - 50) * 8 + 4096  # the history, and some small Python objects
+    # a longer run holds one block of draws and one window at a time (tens of KB
+    # here): only its history grows. Both runs reach full windows.
+    cfgs = [cfg_for(dim=10, epochs=e, agents=10) for e in (500, 1000)]
+    recorded = Recorded(ShiftedSphere())
+    OPTIMIZERS[name](recorded, cfgs[0])
+    assert max(recorded.calls) == optimizers._WINDOW * cfgs[0].agents
+    short, long = (traced_peak(OPTIMIZERS[name], ShiftedSphere(), cfg) for cfg in cfgs)
+    assert long - short <= (1000 - 500) * 8 + 4096  # the history, and some small Python objects
+    window = optimizers._WINDOW * cfgs[1].agents * cfgs[1].dim * 8
+    assert long - cfgs[1].epochs * 8 <= 1.1 * LONG_RUN_WINDOW_PEAKS[name] * window
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +356,9 @@ def suite_case(fid):
 LOOKAHEAD_CASES = {
     "shifted sphere": (ShiftedSphere(), 4, -10.0, 10.0),  # frequent improvements
     "stall off the origin": (ShiftedSphere(), 4, 0.5, 2.0),  # FOX stops improving
+    "F1": suite_case("F1"),
     "F2": suite_case("F2"),
+    "F6": suite_case("F6"),
     "F7": suite_case("F7"),
     "iris training": (iris_shaped_training(), 35, -1.0, 1.0),
 }
@@ -357,7 +370,9 @@ LOOKAHEAD_CASES = {
 def test_lookahead_windows_match_one_epoch_per_call(monkeypatch, name, agents, block_draws):
     monkeypatch.setattr(optimizers, "_BLOCK_DRAWS", block_draws)
     for label, (objective, dim, lower, upper) in LOOKAHEAD_CASES.items():
-        cfg = cfg_for(dim=dim, epochs=60, agents=agents, lower=lower, upper=upper)
+        # the stalled FOX run is long enough for its windows to reach the cap
+        epochs = 120 if label == "stall off the origin" else 60
+        cfg = cfg_for(dim=dim, epochs=epochs, agents=agents, lower=lower, upper=upper)
         # the plain per-vector twin is scored one epoch per call
         reference = OPTIMIZERS[name](objective.__call__, cfg)
         recorded = Recorded(objective)
@@ -372,7 +387,9 @@ def test_lookahead_windows_match_one_epoch_per_call(monkeypatch, name, agents, b
         if block_draws == 7:  # one epoch a block, and windows never cross a block
             assert set(recorded.calls) == {agents}, label
         if block_draws != 7 and label == "stall off the origin" and name == "fox":
-            assert max(recorded.calls) == optimizers._WINDOW * agents
+            # a window fills a draw block when the block holds fewer epochs than the cap
+            block = block_draws // draws_per_epoch(name, cfg)
+            assert max(recorded.calls) == min(optimizers._WINDOW, block) * agents
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
