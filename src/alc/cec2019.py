@@ -27,10 +27,17 @@ rows, so the two paths agree bit for bit. That rests on a few rules:
   ``matmul(rotation, z[:, :, None])``, since ``z @ rotation.T`` rounds
   differently;
 * F1 sums each row's compacted out-of-band penalties and then adds its two
-  edge terms, in that order; F3 adds its pair terms in a fixed pair order
-  with the sequential ``np.add.accumulate``;
+  edge terms, in that order; a row with no grid value out of band skips the
+  compaction and starts from the empty sum, 0.0. F3 adds its pair terms in a
+  fixed pair order with the sequential ``np.add.accumulate``;
 * F9 and F10 finish each row in Python floats (``**``, ``math.exp``,
   ``math.sqrt``), whose results differ from numpy's on a few values.
+
+A row with a NaN coordinate scores NaN in every function, so the optimizer's
+finite check sees the bad agent. Each branch test is written so that a NaN
+fails it and lands in the sum: F1's grid value is out of band unless
+``|p| <= 1``, and an edge term is skipped only when ``edge >= bound``; an F3
+pair term is ``1e20`` only when ``u <= 1e-10``, so a NaN ``u`` gives a NaN term.
 """
 
 from __future__ import annotations
@@ -119,23 +126,32 @@ def _chebyshev_grid(d):
 
 def _chebyshev(x, transform):
     ys, bound = _chebyshev_grid(x.shape[1])
-    # the grid and then the two edge points, in one Horner pass
-    px = np.zeros((len(x), ys.size))
-    for c in x.T:
+    # the grid and then the two edge points, in one Horner pass; starting from
+    # the leading coefficient rather than from zeros can change only the sign
+    # of a zero, which |p| and edge * edge discard
+    cols = x.T[:, :, None]
+    px = np.empty((len(x), ys.size))
+    px[...] = cols[0]
+    for c in cols[1:]:
         px *= ys
-        px += c[:, None]
+        px += c
     # (1 - |p|) ** 2 on the grid columns, in place (numpy computes ``** 2`` as
-    # a square, t * t); the edge columns stay as they are
+    # a square, t * t); the edge columns stay as they are. A NaN is out of band.
     grid = px[:, :-2]
     np.abs(grid, out=grid)
-    keep = grid > 1.0
+    keep = np.less_equal(grid, 1.0)
+    np.logical_not(keep, out=keep)
     np.subtract(1.0, grid, out=grid)
     grid *= grid
-    # each row sums its own compacted values: a masked full-row sum adds in another order
-    penalty = [float(np.add.reduce(row[mask])) for row, mask in zip(grid, keep)]
+    # each row sums its own compacted values (a masked full-row sum adds in
+    # another order); a row with nothing out of band has the empty sum, 0.0
+    penalty = [
+        float(np.add.reduce(row[mask])) if out else 0.0
+        for row, mask, out in zip(grid, keep, np.logical_or.reduce(keep, axis=1).tolist())
+    ]
     for k, edges in enumerate(px[:, -2:].tolist()):
         for edge in edges:
-            if edge < bound:
+            if not edge >= bound:  # so a NaN edge adds its NaN square
                 penalty[k] += edge * edge
     return np.array(penalty)
 
@@ -166,7 +182,7 @@ def _lennard_jones(x, transform):
     d2 = ((points[:, _LJ_SECOND] - points[:, _LJ_FIRST]) ** 2).sum(axis=-1)
     u = d2**3
     with np.errstate(all="ignore"):  # the branch not taken may divide by zero or overflow
-        terms = np.where(u > 1e-10, (1.0 / u - 2.0) / u, 1.0e20)
+        terms = np.where(u <= 1e-10, 1.0e20, (1.0 / u - 2.0) / u)  # a NaN u gives a NaN term
     # add.accumulate is sequential, so each row adds its pairs in order
     energy = np.concatenate([np.full((len(x), 1), LENNARD_JONES_OFFSET), terms], axis=1)
     return np.add.accumulate(energy, axis=1)[:, -1]
@@ -201,15 +217,15 @@ def _weierstrass(x, transform):
 def _modified_schwefel(x, transform):
     z = _shrunk(x, 1000.0 / 100.0, transform) + 4.209687462275036e2
     d = z.shape[1]
+    abs_z = np.abs(z)
     with np.errstate(invalid="ignore"):
-        mid = -z * np.sin(np.sqrt(np.abs(z)))
+        abs_rem = np.mod(abs_z, 500.0)
+        mid = -z * np.sin(np.sqrt(abs_z))
         high_rem = 500.0 - np.mod(z, 500.0)
         high = -high_rem * np.sin(np.sqrt(np.abs(high_rem))) + (z - 500.0) ** 2 / (10000.0 * d)
-        low_rem = -500.0 + np.mod(np.abs(z), 500.0)
-        low = -low_rem * np.sin(np.sqrt(np.abs(500.0 - np.mod(np.abs(z), 500.0)))) + (
-            z + 500.0
-        ) ** 2 / (10000.0 * d)
-    total = np.where(np.abs(z) <= 500.0, mid, np.where(z > 500.0, high, low))
+        low_rem = -500.0 + abs_rem
+        low = -low_rem * np.sin(np.sqrt(np.abs(500.0 - abs_rem))) + (z + 500.0) ** 2 / (10000.0 * d)
+    total = np.where(abs_z <= 500.0, mid, np.where(z > 500.0, high, low))
     return total.sum(axis=-1) + 4.189828872724338e2 * d
 
 

@@ -483,7 +483,7 @@ def _history_table(stem, histories):
     rows = (
         (run_id, epoch, value)
         for run_id, history in enumerate(histories)
-        for epoch, value in enumerate(history)
+        for epoch, value in enumerate(history.tolist())
     )
     return stem, ("run_id", "epoch", "best_f"), rows
 

@@ -29,3 +29,35 @@ def phase2_oracle(a, v):
         for i in range(o):
             out[j, i] = sum(a[j, k] * v[k, i] for k in range(p)) / p + bias
     return out
+
+
+def chebyshev_oracle(x):
+    """F1 with its +1 offset, one row at a time: the bit-exact reference for ``cec2019`` F1.
+
+    Each row's Horner pass runs over the grid and then the two edge points,
+    starting from zeros; the penalties of the grid values outside [-1, 1] are
+    compacted and summed with ``np.add.reduce`` (numpy's pairwise order, so the
+    bits match), and each edge point below the bound then adds its square in a
+    Python loop. Finite rows only: a NaN compares as in band here.
+    """
+    x = np.asarray(x, float)
+    d = x.shape[1]
+    lo, hi = 1.0, 1.2
+    for _ in range(d - 2):
+        lo, hi = hi, 2.4 * hi - lo
+    sample = 32 * d
+    ys = np.append(-1.0 + np.arange(sample + 1) * (2.0 / sample), (-1.2, 1.2))
+    out = []
+    for row in x:
+        p = np.zeros(ys.size)
+        for c in row:
+            p = p * ys + c
+        grid = np.abs(p[:-2])
+        mask = grid > 1.0
+        gap = 1.0 - grid
+        penalty = float(np.add.reduce((gap * gap)[mask]))
+        for edge in p[-2:].tolist():
+            if edge < hi:
+                penalty += edge * edge
+        out.append(penalty + 1.0)
+    return np.array(out)

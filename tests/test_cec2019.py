@@ -16,6 +16,7 @@ from alc.cec2019 import (
 from alc.errors import AlcError, ParameterError, ShapeError
 from alc.experiments import run_optbench
 from alc.optimizers import OptimizerConfig, optimize_fox, optimize_ifox
+from oracles import chebyshev_oracle
 from test_golden import seeded_transform
 
 # Minimizers under the suite's zero-shift, identity-rotation default.
@@ -216,6 +217,38 @@ def suite_populations(draw):
 def test_population_is_bit_equal_to_per_row_calls(problem):
     obj, positions = problem
     assert np.array_equal(obj.population(positions), [obj(row) for row in positions], equal_nan=True)
+
+
+@st.composite
+def chebyshev_blocks(draw):
+    """1-200 rows of F1 coefficients, each row zero, tiny (up to 1e-3), unit or box-scale.
+
+    Zero and tiny rows leave every grid value in band (an empty mask), nearly
+    every unit row leaves some out of band, and nearly every box-scale row all.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 200))
+    scale = rng.choice([0.0, 1e-3, 1.0, 8192.0], size=(rows, 1))
+    return rng.uniform(-1.0, 1.0, (rows, suite_info("F1").dim)) * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(chebyshev_blocks())
+def test_f1_population_is_bit_equal_to_the_per_row_reference(x):
+    assert SuiteObjective("F1").population(x).tobytes() == chebyshev_oracle(x).tobytes()
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_a_nan_coordinate_gives_nan(fid):
+    # a NaN must reach the optimizer's finite check, never a finite value such as F1's minimum
+    dim = suite_info(fid).dim
+    x = np.array(OPTIMA[fid], dtype=float)
+    x[dim // 2] = np.nan
+    assert math.isnan(evaluate(fid, x))
+    block = np.tile(np.array(OPTIMA[fid], dtype=float), (3, 1))
+    block[1] = x
+    values = SuiteObjective(fid).population(block)
+    assert math.isnan(values[1]) and np.isfinite(values[[0, 2]]).all()
 
 
 @pytest.mark.parametrize("optimize", [optimize_ifox, optimize_fox], ids=["ifox", "fox"])
