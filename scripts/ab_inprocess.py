@@ -8,17 +8,25 @@ Each checkout's ``src/alc`` is imported under its own package name
 (``alc_parent`` and ``alc_change``), so both sides run in one interpreter,
 on one heap and at one page-fault history. Separate processes started from
 two checkout paths can land in different page-fault modes and read a few
-percent apart on identical code, which hides a change of that size.
+percent apart on identical code, which hides a change of that size. Each
+package finds its bundled datasets under its own name; a checkout older
+than that lookup finds them as ``alc.datasets``, so run it with a ``src``
+holding ``alc`` on ``PYTHONPATH``.
 
 ``--call`` names the callable: ``FILE:FUNCTION``, or a function defined in
-this script (``optbench_suite``). It is called as ``function(package,
-seed)`` and returns the bytes that stand for its output. Each side makes one
-untimed warm-up call; then each pair times one call per side, the parent
-first in odd pairs and the change first in even pairs. The script prints one
-JSON document: each side's median and quartiles in seconds per call and the
-sha256 prefixes of the outputs it returned, the median over pairs of
-parent time / change time (above 1 when the change is faster), and the
-number of pairs the change won (a tie wins for neither side).
+this script (``optbench_suite``, ``predict_bulk``). It is called as
+``function(package, seed)`` and returns the bytes that stand for its output.
+Each side makes one untimed warm-up call; then each pair times one call per
+side, the parent first in odd pairs and the change first in even pairs.
+Each timed call runs right after perfbench's reference kernel
+(``perfbench/layers.py::reference``) and is reported at reference speed, as
+perfbench reports its tasks: its seconds times the reference's nominal
+seconds over the seconds the reference took just before it. The script
+prints one JSON document: each side's median and quartiles in seconds per
+call at reference speed and the sha256 prefixes of the outputs it returned,
+the median over pairs of parent time / change time (above 1 when the change
+is faster), and the number of pairs the change won (a tie wins for neither
+side).
 """
 
 import argparse
@@ -29,10 +37,16 @@ import json
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
+from time import perf_counter
+
+import numpy as np
 
 from bench_pairs import quartiles
+
+sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+from layers import at_reference_speed, reference  # noqa: E402
 
 SIDES = ("parent", "change")
 
@@ -65,7 +79,29 @@ def optbench_suite(alc, seed):
     return b"".join(parts)
 
 
-BUILTIN = {"optbench_suite": optbench_suite}
+_PREDICT_BULK = {}  # seed -> the workload whose model and request files it serves
+
+
+def predict_bulk(alc, seed):
+    """The predict-bulk pass: perfbench's seven request files, each read and labelled.
+
+    The model and request files are made once per seed, by the package first
+    called. Returns the bytes perfbench's predict-bulk digest hashes, so the
+    digest printed matches that workload's ``# digest`` line.
+    """
+    if seed not in _PREDICT_BULK:
+        workdir = tempfile.TemporaryDirectory(prefix="ab_inprocess_")
+        bench = workloads.PredictBulk()
+        bench.setup(alc, seed, Path(workdir.name))
+        _PREDICT_BULK[seed] = bench, workdir
+    bench, _ = _PREDICT_BULK[seed]
+    bench.alc = alc
+    served = sorted((bench.serve(int(i)) for i in bench.order), key=lambda s: s.index)
+    labels = [np.asarray(s.labels, dtype=np.int64).tobytes() for s in served]
+    return bench.model_path.read_bytes() + b"".join(labels)
+
+
+BUILTIN = {"optbench_suite": optbench_suite, "predict_bulk": predict_bulk}
 
 
 def resolve_call(spec):
@@ -83,19 +119,13 @@ def resolve_call(spec):
     return getattr(module, name)
 
 
-def bind(package):
-    """Let the name ``alc`` stand for ``package``, which finds its bundled data as ``alc.datasets``."""
-    for name in [m for m in sys.modules if m == "alc" or m.startswith("alc.")]:
-        del sys.modules[name]
-    sys.modules["alc"] = package
-
-
 def timed(call, package, seed):
-    bind(package)
+    """One call's seconds at reference speed, and the sha256 prefix of its output."""
     gc.collect()
-    start = time.perf_counter()
+    reference_seconds = reference()
+    start = perf_counter()
     out = call(package, seed)
-    return time.perf_counter() - start, hashlib.sha256(out).hexdigest()[:8]
+    return at_reference_speed(perf_counter() - start, reference_seconds), hashlib.sha256(out).hexdigest()[:8]
 
 
 def compare(packages, call, seed, pairs):
@@ -124,7 +154,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    parser.add_argument("--call", default="optbench_suite", help="FILE:FUNCTION, or optbench_suite")
+    parser.add_argument("--call", default="optbench_suite",
+                        help="FILE:FUNCTION, optbench_suite or predict_bulk")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--pairs", type=int, default=16)
     args = parser.parse_args(argv)

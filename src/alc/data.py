@@ -104,13 +104,18 @@ def require_train(view, what):
 # ingestion
 
 
-# Characters per block of lines that numpy's C text reader is handed, each
-# block searched once for the characters below.
-C_READER_BLOCK_CHARS = 1 << 16
-
 # numpy's C float parser skips U+001C..U+001F around a number as white space
 # while float() refuses them, so a file holding one is left to csv.reader.
 C_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+# The same characters and the quote as bytes, and the bytes per block the C
+# reader's scan for them reads. In UTF-8 and the usual ASCII-compatible
+# encodings each is one ASCII byte that no other character's bytes hold.
+C_READER_REFUSED_BYTES = tuple(c.encode() for c in '"' + C_READER_ONLY_SPACE)
+C_READER_SCAN_BYTES = 1 << 18
+
+# np.loadtxt opens a name with one of these suffixes through a decompressor.
+NUMPY_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _read_csv(path, has_header, label_column=None):
@@ -123,22 +128,26 @@ def _read_csv(path, has_header, label_column=None):
     column needs at least one feature column beside it. Blank lines are
     skipped, and rows are numbered from 1 after the header.
 
-    Two readers share this contract. numpy's C text reader is tried first:
-    ``csv.reader`` reads the header and the first data row, and
-    ``np.loadtxt`` reads the data rows from the same handle into a
-    structured array, float64 for the feature columns and ``object`` for the
-    label. It parses each cell with ``PyOS_string_to_double``, the parser
-    ``float()`` ends in, so its values are those of ``float(cell)`` bit for
-    bit. Its result is used only if the call raised nothing, every feature
-    value is finite and no data line holds a ``"`` or one of
-    :data:`C_READER_ONLY_SPACE`; each block of lines is searched before
-    ``np.loadtxt`` parses it. Any other file is read again by the
-    streaming reader, and its value or error is returned unchanged, so quoted
-    cells, ``1_0``, non-ASCII digits and every malformed file give the same
-    values, messages, rows and columns on both. One divergence is known: the
-    C reader has no field size limit, so a label or finite feature cell
-    longer than csv's 131,072 characters, past the first data row, is read
-    rather than refused.
+    Two readers share this contract, and the route is chosen before the file
+    is opened. numpy's C text reader is tried first on a regular file whose
+    name numpy does not take for a compressed one (a suffix in
+    :data:`NUMPY_DECOMPRESSED_SUFFIXES`): ``csv.reader`` reads the header and
+    the first data row, the raw bytes after the header are scanned in
+    bounded blocks for a ``"`` or one of :data:`C_READER_ONLY_SPACE`, and
+    ``np.loadtxt``, given the file's name, skips the header's physical lines
+    and reads the data rows in its own chunks into a structured array,
+    float64 for the feature columns and ``object`` for the label. It parses
+    each cell with ``PyOS_string_to_double``, the parser ``float()`` ends in,
+    so its values are those of ``float(cell)`` bit for bit. Its result is
+    used only if the scan found none of those characters, the call raised
+    nothing and every feature value is finite. Any other file is read from
+    the start by the streaming reader, and its value or error is returned
+    unchanged, so quoted cells, ``1_0``, non-ASCII digits and every malformed
+    file give the same values, messages, rows and columns on both. A pipe, a
+    device or a compressed name goes straight to the streaming reader, so
+    the file is opened once. One divergence is known: the C reader has no
+    field size limit, so a label or finite feature cell longer than csv's
+    131,072 characters, past the first data row, is read rather than refused.
 
     The streaming reader makes one pass over ``csv.reader``: it checks each
     row's width, runs ``float()`` on each feature cell as it is read and
@@ -151,12 +160,14 @@ def _read_csv(path, has_header, label_column=None):
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
+    by_name = path.is_file() and path.suffix not in NUMPY_DECOMPRESSED_SUFFIXES
     try:
         with path.open(newline="") as fh:
-            read = _read_csv_c(path, fh, has_header, label_column)
-        if read is not None:
-            return read
-        with path.open(newline="") as fh:
+            if by_name:
+                read = _read_csv_c(path, fh, has_header, label_column)
+                if read is not None:
+                    return read
+                fh.seek(0)
             return _parse_csv(path, csv.reader(fh), has_header, label_column)
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path} is not text: {exc}") from exc
@@ -190,20 +201,27 @@ def _csv_columns(path, header, n_cols, label_column):
 
 def _read_csv_c(path, fh, has_header, label_column):
     """:func:`_read_csv` by numpy's C reader, or None when the streaming reader must decide."""
-    first_lines = []  # the raw lines csv.reader took for the first data row
+    taken = []  # the raw lines csv.reader has taken from fh
 
     def remembered():
         for line in fh:
-            first_lines.append(line)
+            taken.append(line)
             yield line
 
     rows = filter(None, csv.reader(remembered()))
     header = [c.strip() for c in next(rows, ())] if has_header else None
-    first_lines.clear()
+    head, skip = "".join(taken), len(taken)  # the header's text and physical lines
     first = next(rows, None)
     if first is None:
         return None
     label_idx, _, feature_names = _csv_columns(path, header, len(first), label_column)
+    with open(path, "rb") as data_bytes:
+        data_bytes.seek(len(head.encode(fh.encoding)))
+        # only csv.reader unquotes a cell: np.loadtxt fails on a quoted
+        # feature and keeps the quotes of a quoted label
+        while block := data_bytes.read(C_READER_SCAN_BYTES):
+            if any(c in block for c in C_READER_REFUSED_BYTES):
+                return None
     # The feature columns before and after the label are one float64
     # subarray field each, so two slices give the feature matrix.
     lead = len(first) if label_idx is None else label_idx
@@ -212,13 +230,16 @@ def _read_csv_c(path, fh, has_header, label_column):
         fields += [("label", object), ("rest", np.float64, (len(first) - lead - 1,))]
     try:
         table = np.loadtxt(
-            _c_reader_lines(first_lines, fh),
+            path,
             dtype=np.dtype(fields),
             delimiter=",",
             comments=None,
+            skiprows=skip,
+            encoding=fh.encoding,
             ndmin=1,
         )
-    except ValueError:
+    except (ValueError, OSError):
+        # numpy's opener also fails when the working directory is gone
         return None
     if label_idx is None:
         x, raw = table["lead"], []
@@ -228,20 +249,6 @@ def _read_csv_c(path, fh, has_header, label_column):
     if not np.isfinite(x).all():
         return None
     return feature_names, x, [cell.strip() for cell in raw]
-
-
-def _c_reader_lines(first_lines, fh):
-    """``first_lines``, then the rest of ``fh`` in blocks; ValueError if any
-    line holds a ``"`` or one of :data:`C_READER_ONLY_SPACE`."""
-    block = first_lines
-    while block:
-        text = "".join(block)
-        # only csv.reader unquotes a cell: np.loadtxt fails on a quoted
-        # feature and keeps the quotes of a quoted label
-        if any(c in text for c in '"' + C_READER_ONLY_SPACE):
-            raise ValueError("a quote, or a character numpy reads as space and float() refuses")
-        yield from block
-        block = fh.readlines(C_READER_BLOCK_CHARS)
 
 
 def _parse_csv(path, reader, has_header, label_column):
@@ -547,7 +554,7 @@ def stratified_subsample(y, n, rng):
 def bundled_csv_path(name):
     if name not in BUNDLED_DATASETS:
         raise ParameterError(f"{name!r} is not a bundled dataset")
-    return resources.files("alc.datasets") / f"{name}.csv"
+    return resources.files(__package__) / "datasets" / f"{name}.csv"
 
 
 def load_dataset(dataset_id, data_dir=None):

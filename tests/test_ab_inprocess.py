@@ -1,9 +1,12 @@
 """``scripts/ab_inprocess.py`` comparing this checkout with itself on a tiny callable."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "ab_inprocess.py"
@@ -46,3 +49,29 @@ def test_an_unknown_callable_is_refused():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode != 0 and "unknown callable 'nothing'" in proc.stderr
+
+
+def test_each_call_follows_the_reference_kernel_and_is_reported_at_its_speed(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(ROOT / "scripts"), *sys.path])
+    spec = importlib.util.spec_from_file_location("ab_inprocess", SCRIPT)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    nominal = sys.modules["layers"].REFERENCE_NOMINAL_S
+    clock, log = [0.0], []
+
+    def reference():
+        log.append("reference")
+        return 2 * nominal  # the host runs at half the reference speed
+
+    def call(package, seed):
+        log.append(package)
+        clock[0] += {"parent": 3.0, "change": 2.0}[package]
+        return b"output"
+
+    monkeypatch.setattr(ab, "reference", reference)
+    monkeypatch.setattr(ab, "perf_counter", lambda: clock[0])
+    got = ab.compare({"parent": "parent", "change": "change"}, call, 5, 2)
+    order = ["parent", "change", "parent", "change", "change", "parent"]
+    assert log == [step for side in order for step in ("reference", side)]
+    assert got["parent"]["median"] == pytest.approx(1.5) and got["change"]["median"] == pytest.approx(1.0)
+    assert got["paired_ratio"] == pytest.approx(1.5) and got["change_wins"] == 2

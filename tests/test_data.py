@@ -1,6 +1,11 @@
+import importlib.util
+import os
 import struct
+import sys
+import threading
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -49,6 +54,26 @@ def test_bundled_dataset_shapes(dataset_id, n, f, c):
 def test_bundled_csvs_are_read_by_the_c_reader(dataset_id):
     with resources.as_file(data.bundled_csv_path(dataset_id)) as path, path.open(newline="") as fh:
         assert data._read_csv_c(path, fh, True, "label") is not None
+
+
+def test_bundled_datasets_load_from_the_package_under_another_name(monkeypatch):
+    expected = load_dataset("iris")
+    src = Path(data.__file__).parent
+    spec = importlib.util.spec_from_file_location(
+        "alc_renamed", src / "__init__.py", submodule_search_locations=[str(src)]
+    )
+    renamed = importlib.util.module_from_spec(spec)
+    # nothing named alc can stand in for the renamed package
+    for name in [m for m in sys.modules if m == "alc" or m.startswith("alc.")]:
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setitem(sys.modules, "alc_renamed", renamed)
+    try:
+        spec.loader.exec_module(renamed)
+        ds = renamed.data.load_dataset("iris")
+    finally:
+        for name in [m for m in sys.modules if m.startswith("alc_renamed.")]:
+            del sys.modules[name]
+    assert np.array_equal(ds.x, expected.x) and ds.label_names == expected.label_names
 
 
 def test_unknown_dataset_id():
@@ -312,6 +337,93 @@ def test_the_c_reader_never_hands_loadtxt_a_quote(tmp_path, row, quoted):
     assert not any('"' in line for line in handed)
     ds = load_csv(path, label_column="label")  # the streaming reader unquotes the cell
     assert ds.x.shape == (5000, 2) and ds.x[row - 1].tolist() == [row, row / 7]
+
+
+def _dataset_view(ds):
+    return ds.feature_names, _bits(ds.x).tolist(), ds.label_names, ds.y.tolist()
+
+
+ROUTED_CSV = "x,y,label\n1,0.5,{}\n2,-1.25,q\n3,2e-3,p\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("label", ["p", '"p"'], ids=["clean", "quoted-label"])
+def test_a_fifo_is_opened_once_and_read_by_the_streaming_reader(tmp_path, label):
+    text = ROUTED_CSV.format(label)
+    regular = tmp_path / "rows.csv"
+    regular.write_text(text)
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        try:
+            got.append(load_csv(fifo, label_column="label"))
+        except Exception as exc:  # noqa: BLE001 - checked below, not lost in the thread
+            got.append(exc)
+
+    threading.Thread(target=fifo.write_text, args=(text,), daemon=True).start()
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    hung = reader.is_alive()
+    if hung:
+        # a reader blocked opening the FIFO again sees end of file once a writer comes and goes
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=10)
+    assert not hung, "load_csv blocked opening the FIFO a second time"
+    (read_back,) = got
+    assert not isinstance(read_back, Exception), read_back
+    assert _dataset_view(read_back) == _dataset_view(load_csv(regular, label_column="label"))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_plain_csv_with_a_compressed_suffix_reads_as_text(tmp_path, suffix):
+    # np.loadtxt would open these names through a decompressor
+    plain = tmp_path / "rows.csv"
+    plain.write_text(ROUTED_CSV.format("p"))
+    named = tmp_path / f"rows.csv{suffix}"
+    named.write_text(ROUTED_CSV.format("p"))
+    assert _dataset_view(load_csv(named, label_column="label")) == _dataset_view(
+        load_csv(plain, label_column="label")
+    )
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_header_over_several_physical_lines_keeps_the_c_reader(tmp_path, newline):
+    # a blank line and a quoted header cell holding a line end: np.loadtxt skips three lines
+    lines = ["", f'"x{newline}wide",y,label', "1,0.5,p", "2,-1.25,q"]
+    path = tmp_path / "wide.csv"
+    path.write_text(newline.join(lines) + newline, newline="")
+    with path.open(newline="") as fh:
+        assert data._read_csv_c(path, fh, True, "label") is not None
+    with mock.patch.object(data, "_read_csv_c", return_value=None):
+        streamed = _read_outcome(path, True, "label")
+    assert _read_outcome(path, True, "label") == streamed
+    ds = load_csv(path, label_column="label")
+    assert ds.feature_names == [f"x{newline}wide", "y"] and ds.x.tolist() == [[1, 0.5], [2, -1.25]]
+
+
+def test_a_csv_reads_after_the_working_directory_is_removed(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_text(ROUTED_CSV.format("p"))
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    assert load_csv(path, label_column="label").x.tolist() == [[1, 0.5], [2, -1.25], [3, 2e-3]]
+
+
+def test_a_utf8_bom_header_reads_as_before(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + ROUTED_CSV.format("p").encode())
+    with path.open(newline="") as fh:
+        assert data._read_csv_c(path, fh, True, "label") is not None
+    with mock.patch.object(data, "_read_csv_c", return_value=None):
+        streamed = _read_outcome(path, True, "label")
+    assert _read_outcome(path, True, "label") == streamed
+    ds = load_csv(path, label_column="label")
+    assert ds.feature_names == ["\ufeffx", "y"] and ds.x.tolist() == [[1, 0.5], [2, -1.25], [3, 2e-3]]
 
 
 def _block_rows(n_rows, bad_row=None, bad_line=None):
