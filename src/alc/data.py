@@ -35,20 +35,6 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 BUNDLED_DATASETS = ("iris", "wine", "breast_cancer")
-FETCHED_DATASETS = ("voice_gender", "mnist")
-DATASET_IDS = BUNDLED_DATASETS + FETCHED_DATASETS
-
-# Files each fetched dataset reads from its cache directory; mnist lists
-# (images, labels) pairs, training split first.
-CACHED_FILES = {
-    "voice_gender": ("voice.csv",),
-    "mnist": (
-        "train-images-idx3-ubyte",
-        "train-labels-idx1-ubyte",
-        "t10k-images-idx3-ubyte",
-        "t10k-labels-idx1-ubyte",
-    ),
-}
 
 
 @dataclass
@@ -560,43 +546,38 @@ def bundled_csv_path(name):
 def load_dataset(dataset_id, data_dir=None):
     """Load any known dataset by id.
 
-    Bundled ids read their packaged CSV. ``voice_gender`` reads voice.csv and
-    ``mnist`` reads the four IDX files from ``data_dir`` (see
-    :func:`alc.fetch.fetch_dataset` for obtaining them); the two IDX splits
-    are concatenated into one 70k-sample pool.
+    Bundled ids read their packaged CSV. A fetched id reads the files that
+    :data:`alc.fetch.REMOTE_FILES` lists for it from its directory under
+    ``data_dir`` (see :func:`alc.fetch.fetch_dataset` for obtaining them): a
+    ``.csv`` file is read by :func:`load_csv` with its ``label`` column, and
+    the other files are read as (images, labels) IDX pairs. Several parts,
+    such as a training and a test split, are concatenated into one pool.
     """
     if dataset_id in BUNDLED_DATASETS:
         with resources.as_file(bundled_csv_path(dataset_id)) as path:
             return load_csv(path, label_column="label", has_header=True, dataset_id=dataset_id)
-    if dataset_id == "voice_gender":
-        from .fetch import dataset_dir
+    from .fetch import REMOTE_FILES, dataset_dir  # fetch imports this module
 
-        path = Path(dataset_dir(data_dir, "voice_gender")) / CACHED_FILES["voice_gender"][0]
-        if not path.exists():
-            raise IngestError(
-                f"{path} not found; run `alc fetch voice_gender` first"
-            )
-        return load_csv(path, label_column="label", has_header=True, dataset_id="voice_gender")
-    if dataset_id == "mnist":
-        from .fetch import dataset_dir
-
-        root = Path(dataset_dir(data_dir, "mnist"))
-        files = CACHED_FILES["mnist"]
-        parts = []
-        for images_name, labels_name in zip(files[0::2], files[1::2]):
-            images, labels = root / images_name, root / labels_name
-            if not images.exists() or not labels.exists():
-                raise IngestError(
-                    f"{images_name} / {labels_name} not found in {root}; "
-                    "run `alc fetch mnist` first"
-                )
-            parts.append(load_idx(images, labels, dataset_id="mnist"))
-        return Dataset(
-            x=np.vstack([p.x for p in parts]),
-            y=np.concatenate([p.y for p in parts]),
-            n_classes=parts[0].n_classes,
-            feature_names=parts[0].feature_names,
-            id="mnist",
-            label_names=parts[0].label_names,
+    if dataset_id not in REMOTE_FILES:
+        raise ParameterError(
+            f"unknown dataset id {dataset_id!r}; expected one of "
+            f"{BUNDLED_DATASETS + tuple(REMOTE_FILES)}"
         )
-    raise ParameterError(f"unknown dataset id {dataset_id!r}; expected one of {DATASET_IDS}")
+    paths = [dataset_dir(data_dir, dataset_id) / name for name in REMOTE_FILES[dataset_id]]
+    for path in paths:
+        if not path.exists():
+            raise IngestError(f"{path} not found; run `alc fetch {dataset_id}` first")
+    csvs = [path for path in paths if path.suffix == ".csv"]
+    idx = [path for path in paths if path.suffix != ".csv"]
+    parts = [load_csv(path, label_column="label", dataset_id=dataset_id) for path in csvs]
+    parts += [load_idx(images, labels, dataset_id) for images, labels in zip(idx[0::2], idx[1::2])]
+    if len(parts) == 1:
+        return parts[0]
+    return Dataset(
+        x=np.vstack([p.x for p in parts]),
+        y=np.concatenate([p.y for p in parts]),
+        n_classes=parts[0].n_classes,
+        feature_names=parts[0].feature_names,
+        id=dataset_id,
+        label_names=parts[0].label_names,
+    )

@@ -1,6 +1,8 @@
 """Download and verify the datasets that are too large to bundle.
 
-Files land under the dataset cache directory, which defaults to
+:data:`REMOTE_FILES` is the one list of each fetched dataset's files: the
+fetcher writes those cache names and :func:`alc.data.load_dataset` reads
+them. Files land under the dataset cache directory, which defaults to
 ``~/.cache/alc`` and can be overridden with the ``ALC_DATA_DIR`` environment
 variable. Every registry entry that carries a SHA-256 digest is verified
 after download; a mismatch removes the file and raises. Entries without a
@@ -17,57 +19,38 @@ import hashlib
 import os
 import shutil
 import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
 
-from .data import BUNDLED_DATASETS, CACHED_FILES, atomic_path
+from .data import BUNDLED_DATASETS, atomic_path
 from .errors import IntegrityError, ParameterError
 
 DEFAULT_CACHE = "~/.cache/alc"
 
 
-@dataclass(frozen=True)
-class RemoteFile:
-    url: str
-    filename: str
-    sha256: str | None
-    gzipped: bool = False
+def _mirror(base_url, files, suffix=""):
+    """``{name: (url, sha256)}`` for files served as ``<base_url><name><suffix>``."""
+    return {name: (f"{base_url}{name}{suffix}", sha256) for name, sha256 in files}
 
 
+# Each fetched dataset's files: cache name -> (url, pinned sha256 or None), in
+# the order load_dataset reads them. IDX files come as (images, labels) pairs,
+# training split first. A URL ending in .gz is downloaded as <name>.gz, and the
+# digest is that of the archive.
 REMOTE_FILES = {
-    "mnist": [
-        RemoteFile(
-            url="https://ossci-datasets.s3.amazonaws.com/mnist/train-images-idx3-ubyte.gz",
-            filename="train-images-idx3-ubyte.gz",
-            sha256="440fcabf73cc546fa21475e81ea370265605f56be210a4024d2ca8f203523609",
-            gzipped=True,
-        ),
-        RemoteFile(
-            url="https://ossci-datasets.s3.amazonaws.com/mnist/train-labels-idx1-ubyte.gz",
-            filename="train-labels-idx1-ubyte.gz",
-            sha256="3552534a0a558bbed6aed32b30c495cca23d567ec52cac8be1a0730e8010255c",
-            gzipped=True,
-        ),
-        RemoteFile(
-            url="https://ossci-datasets.s3.amazonaws.com/mnist/t10k-images-idx3-ubyte.gz",
-            filename="t10k-images-idx3-ubyte.gz",
-            sha256="8d422c7b0a1c1c79245a5bcf07fe86e33eeafee792b84584aec276f5a2dbc4e6",
-            gzipped=True,
-        ),
-        RemoteFile(
-            url="https://ossci-datasets.s3.amazonaws.com/mnist/t10k-labels-idx1-ubyte.gz",
-            filename="t10k-labels-idx1-ubyte.gz",
-            sha256="f7ae60f92e00ec6debd23a6088c31dbd2371eca3ffa0defaefb259924204aec6",
-            gzipped=True,
-        ),
-    ],
-    "voice_gender": [
-        RemoteFile(
-            url="https://raw.githubusercontent.com/primaryobjects/voice-gender/master/voice.csv",
-            filename="voice.csv",
-            sha256=None,
-        ),
-    ],
+    "voice_gender": _mirror(
+        "https://raw.githubusercontent.com/primaryobjects/voice-gender/master/",
+        [("voice.csv", None)],
+    ),
+    "mnist": _mirror(
+        "https://ossci-datasets.s3.amazonaws.com/mnist/",
+        [
+            ("train-images-idx3-ubyte", "440fcabf73cc546fa21475e81ea370265605f56be210a4024d2ca8f203523609"),
+            ("train-labels-idx1-ubyte", "3552534a0a558bbed6aed32b30c495cca23d567ec52cac8be1a0730e8010255c"),
+            ("t10k-images-idx3-ubyte", "8d422c7b0a1c1c79245a5bcf07fe86e33eeafee792b84584aec276f5a2dbc4e6"),
+            ("t10k-labels-idx1-ubyte", "f7ae60f92e00ec6debd23a6088c31dbd2371eca3ffa0defaefb259924204aec6"),
+        ],
+        suffix=".gz",
+    ),
 }
 
 
@@ -97,8 +80,10 @@ def _download(url, dest):
 def fetch_dataset(dataset_id, dest_dir=None, registry=None, log=print):
     """Fetch a dataset's files into the cache; returns the final paths.
 
-    Bundled datasets are a no-op with a notice. Gzipped archives are verified
-    against their recorded digest and then decompressed next to the archive.
+    ``registry`` has the shape of :data:`REMOTE_FILES`. Bundled datasets are a
+    no-op with a notice, and a file already in the cache is skipped. A
+    gzipped download is verified against its recorded digest and then
+    decompressed to the cache name, next to the archive.
     """
     registry = registry if registry is not None else REMOTE_FILES
     if dataset_id in BUNDLED_DATASETS:
@@ -113,27 +98,26 @@ def fetch_dataset(dataset_id, dest_dir=None, registry=None, log=print):
     target = dataset_dir(dest_dir, dataset_id)
     target.mkdir(parents=True, exist_ok=True)
     final_paths = []
-    for remote in registry[dataset_id]:
-        archive = target / remote.filename
-        final = target / remote.filename.removesuffix(".gz") if remote.gzipped else archive
+    for name, (url, sha256) in registry[dataset_id].items():
+        final = target / name
+        final_paths.append(final)
         if final.exists():
-            log(f"{final.name} already present, skipping")
-            final_paths.append(final)
+            log(f"{name} already present, skipping")
             continue
-        log(f"downloading {remote.url}")
+        archive = target / f"{name}.gz" if url.endswith(".gz") else final
+        log(f"downloading {url}")
         with atomic_path(archive) as part:
-            _download(remote.url, part)
+            _download(url, part)
             digest = sha256_of(part)
-            if remote.sha256 is None:
+            if sha256 is None:
                 log(f"warning: no pinned checksum for {archive.name}; got sha256 {digest}")
-            elif digest != remote.sha256:
+            elif digest != sha256:
                 raise IntegrityError(
-                    f"{archive.name}: sha256 {digest} does not match recorded {remote.sha256}"
+                    f"{archive.name}: sha256 {digest} does not match recorded {sha256}"
                 )
-        if remote.gzipped:
+        if archive != final:
             with atomic_path(final) as part, gzip.open(archive, "rb") as src, part.open("wb") as out:
                 shutil.copyfileobj(src, out)
-        final_paths.append(final)
     return final_paths
 
 
@@ -142,6 +126,6 @@ def dataset_available(dataset_id, data_dir=None):
     if dataset_id in BUNDLED_DATASETS:
         return True
     root = dataset_dir(data_dir, dataset_id)
-    return dataset_id in CACHED_FILES and all(
-        (root / name).exists() for name in CACHED_FILES[dataset_id]
+    return dataset_id in REMOTE_FILES and all(
+        (root / name).exists() for name in REMOTE_FILES[dataset_id]
     )

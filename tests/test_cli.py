@@ -13,7 +13,7 @@ from alc import data, errors, experiments, fetch, model
 from alc.cli import main, read_config_file
 from alc.data import load_dataset
 from alc.errors import ConfigError, IntegrityError, ParameterError
-from alc.fetch import RemoteFile, dataset_available, fetch_dataset, sha256_of
+from alc.fetch import REMOTE_FILES, dataset_available, fetch_dataset, sha256_of
 from idx_files import write_idx_images, write_idx_labels
 
 
@@ -532,16 +532,7 @@ def _file_registry(tmp_path, payload, sha=None, gzipped=False):
     else:
         source.write_bytes(payload)
     digest = sha if sha is not None else hashlib.sha256(source.read_bytes()).hexdigest()
-    return {
-        "testset": [
-            RemoteFile(
-                url=source.as_uri(),
-                filename=source.name,
-                sha256=digest,
-                gzipped=gzipped,
-            )
-        ]
-    }
+    return {"testset": {source.name.removesuffix(".gz"): (source.as_uri(), digest)}}
 
 
 def test_fetch_verifies_checksum_and_decompresses(tmp_path):
@@ -593,12 +584,43 @@ def test_fetch_interrupted_download_leaves_no_file(tmp_path, monkeypatch):
 def test_fetch_unpinned_checksum_warns(tmp_path):
     source = tmp_path / "voice.csv"
     source.write_bytes(b"label\nx\n")
-    registry = {
-        "testset": [RemoteFile(url=source.as_uri(), filename="voice.csv", sha256=None)]
-    }
+    registry = {"testset": {"voice.csv": (source.as_uri(), None)}}
     messages = []
     fetch_dataset("testset", dest_dir=tmp_path / "c", registry=registry, log=messages.append)
     assert any("no pinned checksum" in m for m in messages)
+
+
+def test_fetched_cache_names_are_the_names_the_loader_reads(tmp_path):
+    """fetch_dataset writes each REMOTE_FILES cache name that load_dataset reads."""
+    mirror, cache = tmp_path / "mirror", tmp_path / "cache"
+    mirror.mkdir()
+    rng = np.random.default_rng(3)
+    train, test = (rng.integers(0, 256, (n, 3, 3), dtype=np.uint8) for n in (30, 20))
+    written = [
+        (write_idx_images, train), (write_idx_labels, np.arange(30) % 10),
+        (write_idx_images, test), (write_idx_labels, np.arange(20) % 10),
+    ]
+    registry = {"mnist": {}, "voice_gender": {}}
+    for name, (write, payload) in zip(REMOTE_FILES["mnist"], written):
+        write(mirror / name, payload)
+        archive = mirror / f"{name}.gz"
+        archive.write_bytes(gzip.compress((mirror / name).read_bytes()))
+        registry["mnist"][name] = (archive.as_uri(), sha256_of(archive))
+    (voice_name,) = REMOTE_FILES["voice_gender"]
+    (mirror / voice_name).write_text("meanfreq,sd,label\n0.1,0.2,male\n0.3,0.4,female\n0.5,0.6,male\n")
+    registry["voice_gender"][voice_name] = ((mirror / voice_name).as_uri(), None)
+
+    for dataset_id in registry:
+        assert not dataset_available(dataset_id, data_dir=cache)
+        fetch_dataset(dataset_id, dest_dir=cache, registry=registry, log=lambda *_: None)
+        assert dataset_available(dataset_id, data_dir=cache)
+    mnist = load_dataset("mnist", data_dir=cache)
+    assert np.array_equal(mnist.x, np.vstack([train, test]).reshape(50, 9).astype(np.float64))
+    assert mnist.y.tolist() == (np.r_[np.arange(30), np.arange(20)] % 10).tolist()
+    voice = load_dataset("voice_gender", data_dir=cache)
+    expected = data.load_csv(mirror / voice_name, dataset_id="voice_gender")
+    assert np.array_equal(voice.x, expected.x) and voice.y.tolist() == [0, 1, 0]
+    assert voice.label_names == ["male", "female"]
 
 
 def test_sha256_of(tmp_path):
