@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment battery and write reports under out/.
 
-Each block is one ``alc`` command: ``crossval`` on the three bundled
-datasets, ``ablate`` on breast_cancer, and ``optbench`` over the function
-suite. The two fetchable datasets are included automatically when their
-files are already in the local cache (``alc fetch voice_gender``,
-``alc fetch mnist``). The battery stops at the first command that fails and
+Each block is one ``alc`` command: ``crossval`` on the bundled datasets,
+``ablate`` on breast_cancer, and ``optbench`` over the function suite. Each
+fetched dataset (``alc fetch <id>``) is included when its files are already
+in the local cache. The battery stops at the first command that fails and
 exits with its code.
 """
 
@@ -13,7 +12,8 @@ import argparse
 import sys
 
 from alc import cli
-from alc.fetch import dataset_available
+from alc.data import BUNDLED_DATASETS
+from alc.fetch import REMOTE_FILES, dataset_available
 
 
 def main(argv=None):
@@ -25,8 +25,8 @@ def main(argv=None):
     parser.add_argument("--skip-optbench", action="store_true")
     args = parser.parse_args(argv)
 
-    datasets = ["iris", "wine", "breast_cancer"]
-    for dataset_id in ("voice_gender", "mnist"):
+    datasets = list(BUNDLED_DATASETS)
+    for dataset_id in REMOTE_FILES:
         if dataset_available(dataset_id):
             datasets.append(dataset_id)
         else:

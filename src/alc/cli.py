@@ -104,7 +104,8 @@ def _build_experiment_config(args):
 
 
 def _add_common_experiment_flags(parser):
-    parser.add_argument("--dataset", help="dataset id (iris, wine, breast_cancer, voice_gender, mnist)")
+    dataset_ids = ", ".join((*data.BUNDLED_DATASETS, *fetch.REMOTE_FILES))
+    parser.add_argument("--dataset", help=f"dataset id ({dataset_ids})")
     parser.add_argument("--config", help="key-value config file; flags override it")
     parser.add_argument("--seed", type=int, help="experiment seed")
     parser.add_argument("--lobules", type=int, help="internal width of the classifier")

@@ -298,6 +298,12 @@ def run_crossval(cfg, dataset=None, jobs=1):
     )
 
 
+def _check_cells(configs, n_classes):
+    """Refuse, before any fold runs, a config whose lobule count its variant cannot use."""
+    for cell in configs:
+        model.check_lobules(cell.lobules, n_classes, cell.variant)
+
+
 def run_ablation(cfg, dataset=None, variants=model.VARIANTS, jobs=1):
     """Cross-validate each requested variant with identical seeds and folds.
 
@@ -306,13 +312,17 @@ def run_ablation(cfg, dataset=None, variants=model.VARIANTS, jobs=1):
     """
     if dataset is None:
         dataset = data.load_dataset(cfg.dataset_id)
-    results = {}
-    for tag in variants:
-        variant_cfg = replace(cfg, variant=tag)
-        if tag == "identity-vitamin":
-            variant_cfg = replace(variant_cfg, lobules=dataset.n_classes)
-        results[tag] = run_crossval(variant_cfg, dataset=dataset, jobs=jobs)
-    return results
+    configs = {
+        tag: replace(
+            cfg, variant=tag, lobules=dataset.n_classes if tag == "identity-vitamin" else cfg.lobules
+        )
+        for tag in variants
+    }
+    _check_cells(configs.values(), dataset.n_classes)
+    return {
+        tag: run_crossval(variant_cfg, dataset=dataset, jobs=jobs)
+        for tag, variant_cfg in configs.items()
+    }
 
 
 def lobule_grid_search(cfg, grid=None, dataset=None, jobs=1):
@@ -321,9 +331,10 @@ def lobule_grid_search(cfg, grid=None, dataset=None, jobs=1):
         grid = DEFAULT_LOBULE_GRIDS.get(cfg.dataset_id)
         if grid is None:
             raise ConfigError(f"no default lobule grid for {cfg.dataset_id!r}")
-    configs = [replace(cfg, lobules=int(p)) for p in grid]  # every width checked before any run
+    configs = [replace(cfg, lobules=int(p)) for p in grid]
     if dataset is None:
         dataset = data.load_dataset(cfg.dataset_id)
+    _check_cells(configs, dataset.n_classes)  # every width, before any fold runs
     rows = []
     for grid_cfg in configs:
         result = run_crossval(grid_cfg, dataset=dataset, jobs=jobs)

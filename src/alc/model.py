@@ -102,10 +102,7 @@ def init_params(n_features, n_lobules, n_outputs, rng):
         raise ParameterError(f"need at least one feature, got {n_features}")
     if n_outputs < 2:
         raise ParameterError(f"need at least two output classes, got {n_outputs}")
-    if not 1 <= n_lobules < MAX_LOBULES:
-        raise LobuleRangeError(
-            f"lobule count {n_lobules} outside admissible range [1, {MAX_LOBULES})"
-        )
+    check_lobules(n_lobules, n_outputs)
     return AlcParams(
         n_features=n_features,
         n_lobules=n_lobules,
@@ -113,6 +110,28 @@ def init_params(n_features, n_lobules, n_outputs, rng):
         cofactor=rng.uniform(-1.0, 1.0, (n_features, n_lobules)),
         vitamin=rng.uniform(-1.0, 1.0, (n_lobules, n_outputs)),
     )
+
+
+def check_lobules(n_lobules, n_outputs, variant="full"):
+    """Refuse a lobule count outside ``[1, MAX_LOBULES)`` or one ``variant`` cannot run.
+
+    ``identity-vitamin`` freezes the vitamin to the identity, so it needs as
+    many lobules as outputs; the ``phase1-only`` readout averages at least
+    one lobule per output.
+    """
+    if not 1 <= n_lobules < MAX_LOBULES:
+        raise LobuleRangeError(
+            f"lobule count {n_lobules} outside admissible range [1, {MAX_LOBULES})"
+        )
+    if variant == "identity-vitamin" and n_lobules != n_outputs:
+        raise VariantError(
+            f"identity-vitamin needs p == o (lobules == outputs), got p={n_lobules}, o={n_outputs}"
+        )
+    if variant == "phase1-only" and n_lobules < n_outputs:
+        raise VariantError(
+            f"phase1-only readout needs at least one lobule per class "
+            f"({n_lobules} lobules < {n_outputs} classes)"
+        )
 
 
 def phase1(x, cofactor):
@@ -137,11 +156,7 @@ def lobule_average_map(n_lobules, n_outputs):
 
     Built once per shape and returned read-only.
     """
-    if n_lobules < n_outputs:
-        raise VariantError(
-            f"phase1-only readout needs at least one lobule per class "
-            f"({n_lobules} lobules < {n_outputs} classes)"
-        )
+    check_lobules(n_lobules, n_outputs, "phase1-only")
     bounds = np.linspace(0, n_lobules, n_outputs + 1).round().astype(int)
     w = np.zeros((n_lobules, n_outputs))
     for j in range(n_outputs):
@@ -210,17 +225,12 @@ def make_variant(params, tag, rng=None):
     if tag not in VARIANTS:
         raise VariantError(f"unknown variant {tag!r}; expected one of {VARIANTS}")
     f, p, o = params.shape
-    if tag == "phase1-only":
-        lobule_average_map(p, o)  # validate now rather than at first forward
-    elif tag == "random-cofactor":
+    check_lobules(p, o, tag)
+    if tag == "random-cofactor":
         if rng is None:
             raise ParameterError("random-cofactor needs an RngStream to resample")
         params = replace(params, cofactor=rng.uniform(-1.0, 1.0, (f, p)))
     elif tag == "identity-vitamin":
-        if p != o:
-            raise VariantError(
-                f"identity-vitamin requires lobules == outputs, got p={p}, o={o}"
-            )
         params = replace(params, vitamin=np.eye(p))
     return VariantModel(params, tag, TRAINABLE[tag])
 
@@ -404,7 +414,13 @@ def load_model(path):
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
     try:
-        f, p, o = int(doc["f"]), int(doc["p"]), int(doc["o"])
+        f, p, o = doc["f"], doc["p"], doc["o"]
+        for key, value in (("f", f), ("p", p), ("o", o)):
+            if type(value) is not int or value < 1:
+                raise PersistenceError(
+                    f"model file {path} is malformed: {key} must be a positive JSON integer, "
+                    f"got {value!r}"
+                )
         cofactor = np.asarray(doc["C"], dtype=np.float64).reshape(f, p)
         vitamin = np.asarray(doc["V"], dtype=np.float64).reshape(p, o)
         variant = doc["variant"]
@@ -417,8 +433,8 @@ def load_model(path):
         raise PersistenceError(f"model file {path} names unknown variant {variant!r}")
     if not (np.isfinite(cofactor).all() and np.isfinite(vitamin).all()):
         raise PersistenceError(f"model file {path} has non-finite matrix entries")
-    if variant == "identity-vitamin" and p != o:
-        raise PersistenceError(
-            f"model file {path}: identity-vitamin needs p == o, got p={p}, o={o}"
-        )
+    try:
+        check_lobules(p, o, variant)
+    except (LobuleRangeError, VariantError) as exc:
+        raise PersistenceError(f"model file {path}: {exc}") from None
     return AlcParams(f, p, o, cofactor, vitamin), variant, meta

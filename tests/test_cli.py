@@ -397,6 +397,54 @@ def test_predict_bad_model_file(tmp_path):
     assert run_cli("predict", "--model", str(bad), "--data", str(csv_path)) == 1
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"f": "Infinity"}, "f must be a positive JSON integer, got inf"),
+        ({"p": "1e400"}, "p must be a positive JSON integer, got inf"),
+        ({"o": "2.5"}, "o must be a positive JSON integer, got 2.5"),
+        ({"f": '"2"'}, "f must be a positive JSON integer, got '2'"),
+        ({"f": "true"}, "f must be a positive JSON integer, got True"),
+        ({"p": "0"}, "p must be a positive JSON integer, got 0"),
+        ({"p": "1", "variant": '"phase1-only"'}, "at least one lobule per class"),
+        ({"p": "3", "variant": '"identity-vitamin"'}, "needs p == o"),
+    ],
+    ids=["infinity", "overflow", "fraction", "string", "bool", "zero", "phase1-only", "identity-vitamin"],
+)
+def test_predict_refuses_model_dimensions_it_cannot_use(tmp_path, capsys, changes, message):
+    doc = {"format_version": "1", "f": "2", "p": "2", "o": "2", "variant": '"full"'}
+    doc.update(changes)
+    # matrices sized for the integer dimensions; a refused type is never reshaped
+    p, o = (v if type(v) is int else 1 for v in (json.loads(doc["p"]), json.loads(doc["o"])))
+    text = ", ".join(f'"{key}": {value}' for key, value in doc.items())
+    matrices = json.dumps({"C": [0.5] * 2 * p, "V": [0.5] * p * o, "training_meta": {}})
+    bad = tmp_path / "m.json"
+    bad.write_text("{" + text + ", " + matrices[1:])
+    csv_path = tmp_path / "f.csv"
+    csv_path.write_text("a,b\n1,2\n")
+    assert run_cli("predict", "--model", str(bad), "--data", str(csv_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model file {bad}") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ablate", "--dataset", "wine", "--lobules", "2"),
+        ("crossval", "--dataset", "iris", "--lobule-grid", "5,100000"),
+    ],
+    ids=["ablate-phase1-only", "lobule-grid-range"],
+)
+def test_sweep_cells_are_checked_before_the_first_fold(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(experiments, "run_fold", lambda *args: calls.append(args))
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["undecodable", "directory"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
     cfg_file = tmp_path / "exp.cfg"
