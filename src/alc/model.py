@@ -28,7 +28,9 @@ arrays, as transposed views. A variant whose hidden layer does not depend
 on the trained vector (``phase2-only``, ``random-cofactor``) has it
 computed once per training set. Calling a :class:`TrainingObjective` on
 one vector and :meth:`TrainingObjective.population` do the same arithmetic
-on every element, which keeps their values bit-equal.
+on every element, which keeps their values bit-equal. Both multiply the
+training matrix as laid out by :func:`aligned_copy`, 64-byte aligned with
+padded rows, so their speed does not depend on where malloc put it.
 
 Ablation variants keep the model runnable while disabling one component.
 :data:`TRAINABLE` says which matrices each variant trains; the variant's
@@ -100,8 +102,6 @@ def init_params(n_features, n_lobules, n_outputs, rng):
     """
     if n_features < 1:
         raise ParameterError(f"need at least one feature, got {n_features}")
-    if n_outputs < 2:
-        raise ParameterError(f"need at least two output classes, got {n_outputs}")
     check_lobules(n_lobules, n_outputs)
     return AlcParams(
         n_features=n_features,
@@ -113,12 +113,15 @@ def init_params(n_features, n_lobules, n_outputs, rng):
 
 
 def check_lobules(n_lobules, n_outputs, variant="full"):
-    """Refuse a lobule count outside ``[1, MAX_LOBULES)`` or one ``variant`` cannot run.
+    """Refuse fewer than two outputs, or a lobule count outside ``[1, MAX_LOBULES)`` or one ``variant`` cannot run.
 
-    ``identity-vitamin`` freezes the vitamin to the identity, so it needs as
-    many lobules as outputs; the ``phase1-only`` readout averages at least
-    one lobule per output.
+    A one-class softmax gives every row probability 1, so nothing can be
+    trained or predicted. ``identity-vitamin`` freezes the vitamin to the
+    identity, so it needs as many lobules as outputs; the ``phase1-only``
+    readout averages at least one lobule per output.
     """
+    if n_outputs < 2:
+        raise ParameterError(f"need at least two output classes, got {n_outputs}")
     if not 1 <= n_lobules < MAX_LOBULES:
         raise LobuleRangeError(
             f"lobule count {n_lobules} outside admissible range [1, {MAX_LOBULES})"
@@ -292,7 +295,7 @@ class TrainingObjective:
         # Samples run along the contiguous axis of every class-major array.
         # ``self.x`` is a view whose transpose is this copy, so the reference
         # path multiplies by exactly the operand the population path does.
-        self.x_t = np.ascontiguousarray(x.T)
+        self.x_t = aligned_copy(x.T)
         self.x = self.x_t.T
         self._labels = metrics.one_hot_labels(y_onehot)
         self._samples = np.arange(n)
@@ -357,6 +360,46 @@ class TrainingObjective:
         picked = e.take(self._take[:agents])
         picked /= total
         return metrics.label_log_loss(picked)
+
+
+def aligned_copy(a):
+    """A copy of 2-D ``a`` as a C-ordered view with a 64-byte-aligned base and padded rows.
+
+    numpy has no aligned allocator, so the copy is sliced out of an
+    over-allocated ``np.empty`` buffer at its first 64-byte boundary. Rule:
+    rows are the smallest odd number of 64-byte lines that holds one row
+    apart (float64: the column count rounded up to a multiple of 8, plus 8
+    more when that is an even number of lines). No row stride is then a
+    multiple of 4,096 bytes, nor of any power of two from 128 bytes up; the
+    padding is at most two lines per row.
+
+    Measured on the phase-1 product of :meth:`TrainingObjective.population`
+    (breast_cancer fold, 30 features, 10 lobules, 10 agents; 2-core
+    AVX-512 Xeon, OpenBLAS SkylakeX kernel, one thread), median µs per call:
+
+    ====  ===================  ===========  ===========  ==========
+    n     16 bytes off, dense  aligned,     aligned,     this rule
+                               dense        stride +16
+    ====  ===================  ===========  ===========  ==========
+    256   150                  137 (2 KiB)  131          128
+    512   236–241              201–208      193–194      192–194
+    513   227–234              228–232      192–195      194
+    1025  252–253              251–253      210–214      210
+    ====  ===================  ===========  ===========  ==========
+
+    Every layout gives bit-equal products. An aligned base alone does not
+    help when rows are not whole lines (n 513), and rows exactly 4,096 (or
+    2,048) bytes apart alias in the cache (n 512, 256).
+    """
+    a = np.asarray(a)
+    rows, cols = a.shape
+    lines = -(-cols * a.itemsize // 64)
+    stride = (lines + 1 - lines % 2) * 64
+    raw = np.empty(rows * stride + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    out = raw[start : start + rows * stride].view(a.dtype).reshape(rows, -1)[:, :cols]
+    out[...] = a
+    return out
 
 
 def _class_major_phase(weights, inputs, out=None):
@@ -435,6 +478,6 @@ def load_model(path):
         raise PersistenceError(f"model file {path} has non-finite matrix entries")
     try:
         check_lobules(p, o, variant)
-    except (LobuleRangeError, VariantError) as exc:
+    except (ParameterError, VariantError) as exc:
         raise PersistenceError(f"model file {path}: {exc}") from None
     return AlcParams(f, p, o, cofactor, vitamin), variant, meta

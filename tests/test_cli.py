@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from alc import data, errors, experiments, fetch, model
-from alc.cli import main, read_config_file
+from alc.cli import EXIT_CODES, main, read_config_file
 from alc.data import load_dataset
 from alc.errors import ConfigError, IntegrityError, ParameterError
 from alc.fetch import REMOTE_FILES, dataset_available, fetch_dataset, sha256_of
@@ -426,6 +426,22 @@ def test_predict_refuses_model_dimensions_it_cannot_use(tmp_path, capsys, change
     err = capsys.readouterr().err
     assert err.startswith(f"error: model file {bad}") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+def test_predict_refuses_a_one_class_model(tmp_path, capsys):
+    # Saved by hand: AlcParams holds any shape, and a one-class softmax would
+    # label every row 0.
+    params = model.AlcParams(2, 2, 1, np.full((2, 2), 0.5), np.full((2, 1), 0.5))
+    model_path = tmp_path / "m.json"
+    model.save_model(params, {"seed": 0, "epochs": 1, "agents": 2, "dataset_id": "x"}, model_path)
+    csv_path = tmp_path / "f.csv"
+    csv_path.write_text("a,b\n1,2\n3,4\n")
+    code = next((c for kinds, c in EXIT_CODES if issubclass(errors.PersistenceError, kinds)), 1)
+    assert run_cli("predict", "--model", str(model_path), "--data", str(csv_path)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: model file {model_path}") and captured.err.count("\n") == 1
+    assert "at least two output classes, got 1" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alc import model
 from alc.errors import (
     LobuleRangeError,
     ParameterError,
@@ -298,10 +300,10 @@ def test_objective_hand_built_separator_is_tiny():
 
 
 @st.composite
-def training_problems(draw):
-    """A variant, a training set and a population, entries up to +-50."""
+def training_sets(draw, max_rows=200):
+    """A variant model, a training set ``(x, y)`` and a population, entries up to +-50."""
     variant = draw(st.sampled_from(VARIANTS))
-    n = draw(st.integers(1, 200))
+    n = draw(st.integers(1, max_rows))
     f = draw(st.integers(1, 12))
     o = draw(st.integers(2, 10))
     p = draw(st.integers(o if variant == "phase1-only" else 1, 15))
@@ -321,6 +323,13 @@ def training_problems(draw):
         x = np.asarray(rng.uniform(-scale, scale, (n, f)), order=layout)
     y = np.eye(o)[rng.integers(0, o, n)]
     positions = rng.uniform(-scale, scale, (agents, trainable_size(vm)))
+    return vm, x, y, positions
+
+
+@st.composite
+def training_problems(draw):
+    """A training objective and a population, from :func:`training_sets`."""
+    vm, x, y, positions = draw(training_sets())
     return TrainingObjective(x, y, vm), positions
 
 
@@ -332,6 +341,56 @@ def test_population_is_bit_equal_to_per_agent_calls(problem):
     assert np.array_equal(obj.population(positions), expected)
     # a second call reuses the phase-1 buffer of the first
     assert np.array_equal(obj.population(positions[::-1]), expected[::-1])
+
+
+def placed_copy(a, offset, pad):
+    """A copy of 2-D float64 ``a`` at ``offset`` bytes past a 64-byte boundary, rows ``cols + pad`` apart."""
+    rows, cols = a.shape
+    stride = (cols + pad) * 8
+    raw = np.empty(rows * stride + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + rows * stride].view(np.float64).reshape(rows, -1)[:, :cols]
+    out[...] = a
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    training_sets(max_rows=600),
+    st.sampled_from(range(0, 64, 8)),
+    st.sampled_from([0, 1, 7, 8, 16, 512]),
+)
+def test_population_bits_do_not_depend_on_the_training_matrix_layout(problem, offset, pad):
+    vm, x, y, positions = problem
+    with mock.patch.object(model, "aligned_copy", np.ascontiguousarray):
+        expected = TrainingObjective(x, y, vm).population(positions)
+    layouts = [model.aligned_copy, lambda a: placed_copy(a, offset, pad)]
+    for layout in layouts:
+        with mock.patch.object(model, "aligned_copy", layout):
+            obj = TrainingObjective(x, y, vm)
+        assert obj.x_t.ctypes.data % 64 == offset or layout is model.aligned_copy
+        assert np.array_equal(obj.population(positions), expected)
+        assert np.array_equal([obj(v) for v in positions], expected)
+
+
+@pytest.mark.parametrize("n", [512, 513])
+def test_training_matrix_is_aligned_with_odd_line_rows(n):
+    # 30 features, as breast_cancer: both row lengths round up to 65 lines of
+    # 64 bytes (520 float64s), never to a multiple of 4,096 bytes.
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 30))
+    obj = TrainingObjective(x, np.eye(2)[rng.integers(0, 2, n)], make_variant(make_params(30, 10, 2), "full"))
+    assert obj.x_t.ctypes.data % 64 == 0
+    assert obj.x_t.shape == (30, n) and obj.x_t.strides == (520 * 8, 8)
+    assert np.array_equal(obj.x_t, x.T) and obj.x.base is obj.x_t.base
+
+
+@pytest.mark.parametrize("cols,stride", [(1, 8), (8, 8), (9, 24), (16, 24), (135, 136), (504, 504), (505, 520)])
+def test_aligned_copy_rows_are_an_odd_number_of_lines(cols, stride):
+    a = np.arange(3.0 * cols).reshape(3, cols)
+    got = model.aligned_copy(a)
+    assert got.ctypes.data % 64 == 0 and got.strides == (stride * 8, 8)
+    assert np.array_equal(got, a) and got.dtype == a.dtype
 
 
 @pytest.mark.parametrize("variant", ["random-cofactor", "phase2-only"])
