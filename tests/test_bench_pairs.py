@@ -1,6 +1,7 @@
 """The pair summary of ``scripts/bench_pairs.py`` on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,64 @@ def test_bounds_are_read_from_the_benchmark_spec():
     assert bounds and set(bounds) <= set(directions)
     assert directions["evals_per_s"] == "higher" and bounds["evals_per_s"] > 0
     assert "model.forward_us" in directions and "model.forward_us" not in bounds
+
+
+FAKE_RUN = '''import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parents[1]
+with open(here.parent / "order.log", "a") as log:
+    log.write(here.name + "\\n")
+print('# host {"cpu": "fake"}')
+print("# digest 0f809a90 of the outputs")
+value = float((here / "evals_per_s").read_text())
+print(json.dumps({"correct": True, "metrics": {"evals_per_s": {"value": value}}}))
+'''
+
+
+def fake_checkout(root, name, evals_per_s):
+    """A directory whose ``perfbench/run.py`` reads ``evals_per_s`` and logs its own name."""
+    checkout = root / name
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (checkout / "evals_per_s").write_text(str(evals_per_s))
+    return checkout
+
+
+@pytest.mark.parametrize("change,gain", [(108.0, False), (120.0, True)])
+def test_a_control_runs_as_a_third_side_and_a_gain_must_pass_its_spread(tmp_path, change, gain):
+    # the parent's copy in another directory reads 10% faster: a change that
+    # gains 8% wins every pair but does not move past that spread
+    sides = {"parent": 100.0, "change": change, "control": 110.0}
+    paths = {side: fake_checkout(tmp_path, side, value) for side, value in sides.items()}
+    out = tmp_path / "bench.json"
+    argv = [f"--{side}={path}" for side, path in paths.items()]
+    argv += ["--workload", "optbench-suite", "--pairs", "2", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert (tmp_path / "order.log").read_text().split() == [
+        "parent", "change", "control", "control", "change", "parent"
+    ]
+    doc = json.loads(out.read_text())
+    assert [(r["pair"], r["side"]) for r in doc["runs"]][:3] == [(1, "parent"), (1, "change"), (1, "control")]
+    assert all(r["checkout"] == str(paths[r["side"]].resolve()) for r in doc["runs"])
+    got = doc["summary"][KEY]
+    assert got["correct"] is True and got["digests_equal"] is True
+    assert got["failed"] == {"parent": 0, "change": 0, "control": 0}
+    metric = got["metrics"]["evals_per_s"]
+    assert metric["change_wins"] == 2 and metric["parent_iqr"] == 0.0
+    assert metric["control"]["median"] == 110.0
+    assert metric["control_ratio"] == pytest.approx(1.1) and metric["control_spread"] == 10.0
+    assert metric["gain"] is gain and got["gains"] == (["evals_per_s"] if gain else [])
+
+
+def test_a_failed_control_run_makes_the_set_incorrect_and_leaves_no_gain():
+    runs = pairs_of([(100.0, 130.0), (101.0, 131.0)])
+    runs += [run("control", 1, 100.5), run("control", 2, None)]
+    got = bench_pairs.summarize(runs, {"evals_per_s": "higher"})[KEY]
+    assert got["failed"] == {"parent": 0, "change": 0, "control": 1} and got["correct"] is False
+    metric = got["metrics"]["evals_per_s"]
+    # only pair 1 has a control reading: its spread is 0.5, which 30 passes
+    assert metric["control"]["median"] == 100.5 and metric["control_spread"] == 0.5 and metric["gain"] is True
+    # with no control reading at all, nothing can be a gain
+    runs = pairs_of([(100.0, 130.0), (101.0, 131.0)]) + [run("control", 1, None)]
+    metric = bench_pairs.summarize(runs, {"evals_per_s": "higher"})[KEY]["metrics"]["evals_per_s"]
+    assert metric["control"] is None and metric["control_spread"] is None and metric["gain"] is False
