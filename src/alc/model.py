@@ -373,19 +373,21 @@ def aligned_copy(a):
     multiple of 4,096 bytes, nor of any power of two from 128 bytes up; the
     padding is at most two lines per row.
 
-    Measured on the phase-1 product of :meth:`TrainingObjective.population`
-    (breast_cancer fold, 30 features, 10 lobules, 10 agents; 2-core
-    AVX-512 Xeon, OpenBLAS SkylakeX kernel, one thread), median µs per call:
+    Median µs per whole :meth:`TrainingObjective.population` call on a
+    breast_cancer fold of ``n`` rows (30 features, 10 lobules, 10 agents;
+    2-core AVX-512 Xeon, OpenBLAS SkylakeX kernel, one thread). The columns
+    are a dense copy 16 bytes past a 64-byte boundary, where numpy's
+    allocator had put it; a dense aligned copy; an aligned copy with rows
+    ``ceil(n / 8) * 8 + 16`` elements apart; and this rule:
 
-    ====  ===================  ===========  ===========  ==========
-    n     16 bytes off, dense  aligned,     aligned,     this rule
-                               dense        stride +16
-    ====  ===================  ===========  ===========  ==========
-    256   150                  137 (2 KiB)  131          128
-    512   236–241              201–208      193–194      192–194
-    513   227–234              228–232      192–195      194
-    1025  252–253              251–253      210–214      210
-    ====  ===================  ===========  ===========  ==========
+    ====  ========  ===========  =======  =========
+    n     16 off    aligned      +16      this rule
+    ====  ========  ===========  =======  =========
+    256   150       137          131      128
+    512   236–241   201–208      193–194  192–194
+    513   227–234   228–232      192–195  194
+    1025  252–253   251–253      210–214  210
+    ====  ========  ===========  =======  =========
 
     Every layout gives bit-equal products. An aligned base alone does not
     help when rows are not whole lines (n 513), and rows exactly 4,096 (or

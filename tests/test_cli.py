@@ -408,8 +408,9 @@ def test_predict_bad_model_file(tmp_path):
         ({"p": "0"}, "p must be a positive JSON integer, got 0"),
         ({"p": "1", "variant": '"phase1-only"'}, "at least one lobule per class"),
         ({"p": "3", "variant": '"identity-vitamin"'}, "needs p == o"),
+        ({"o": "1"}, "need at least two output classes, got 1"),
     ],
-    ids=["infinity", "overflow", "fraction", "string", "bool", "zero", "phase1-only", "identity-vitamin"],
+    ids=["infinity", "overflow", "fraction", "string", "bool", "zero", "phase1-only", "identity-vitamin", "one-class"],
 )
 def test_predict_refuses_model_dimensions_it_cannot_use(tmp_path, capsys, changes, message):
     doc = {"format_version": "1", "f": "2", "p": "2", "o": "2", "variant": '"full"'}
@@ -422,26 +423,11 @@ def test_predict_refuses_model_dimensions_it_cannot_use(tmp_path, capsys, change
     bad.write_text("{" + text + ", " + matrices[1:])
     csv_path = tmp_path / "f.csv"
     csv_path.write_text("a,b\n1,2\n")
-    assert run_cli("predict", "--model", str(bad), "--data", str(csv_path)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: model file {bad}") and err.count("\n") == 1
-    assert message in err and "Traceback" not in err
-
-
-def test_predict_refuses_a_one_class_model(tmp_path, capsys):
-    # Saved by hand: AlcParams holds any shape, and a one-class softmax would
-    # label every row 0.
-    params = model.AlcParams(2, 2, 1, np.full((2, 2), 0.5), np.full((2, 1), 0.5))
-    model_path = tmp_path / "m.json"
-    model.save_model(params, {"seed": 0, "epochs": 1, "agents": 2, "dataset_id": "x"}, model_path)
-    csv_path = tmp_path / "f.csv"
-    csv_path.write_text("a,b\n1,2\n3,4\n")
     code = next((c for kinds, c in EXIT_CODES if issubclass(errors.PersistenceError, kinds)), 1)
-    assert run_cli("predict", "--model", str(model_path), "--data", str(csv_path)) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: model file {model_path}") and captured.err.count("\n") == 1
-    assert "at least two output classes, got 1" in captured.err and "Traceback" not in captured.err
+    assert run_cli("predict", "--model", str(bad), "--data", str(csv_path)) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: model file {bad}") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

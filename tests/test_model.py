@@ -364,11 +364,10 @@ def test_population_bits_do_not_depend_on_the_training_matrix_layout(problem, of
     vm, x, y, positions = problem
     with mock.patch.object(model, "aligned_copy", np.ascontiguousarray):
         expected = TrainingObjective(x, y, vm).population(positions)
-    layouts = [model.aligned_copy, lambda a: placed_copy(a, offset, pad)]
-    for layout in layouts:
+    for base, layout in [(0, model.aligned_copy), (offset, lambda a: placed_copy(a, offset, pad))]:
         with mock.patch.object(model, "aligned_copy", layout):
             obj = TrainingObjective(x, y, vm)
-        assert obj.x_t.ctypes.data % 64 == offset or layout is model.aligned_copy
+        assert obj.x_t.ctypes.data % 64 == base
         assert np.array_equal(obj.population(positions), expected)
         assert np.array_equal([obj(v) for v in positions], expected)
 
