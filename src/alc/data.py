@@ -16,14 +16,15 @@ unseen until evaluation.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -90,15 +91,12 @@ def require_train(view, what):
 # ingestion
 
 
-# numpy's C float parser skips U+001C..U+001F around a number as white space
-# while float() refuses them, so a file holding one is left to csv.reader.
-C_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-
-# The same characters and the quote as bytes, and the bytes per block the C
-# reader's scan for them reads. In UTF-8 and the usual ASCII-compatible
-# encodings each is one ASCII byte that no other character's bytes hold.
-C_READER_REFUSED_BYTES = tuple(c.encode() for c in '"' + C_READER_ONLY_SPACE)
-C_READER_SCAN_BYTES = 1 << 18
+# numpy's float parser skips U+001C..U+001F around a number as white space,
+# while float() refuses them. In UTF-8 and the usual ASCII-compatible
+# encodings each is one byte that no other character's bytes hold, so a
+# regular file's bytes are scanned for them, in blocks of SCAN_BYTES.
+NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+SCAN_BYTES = 1 << 18
 
 # np.loadtxt opens a name with one of these suffixes through a decompressor.
 NUMPY_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -111,54 +109,121 @@ def _read_csv(path, has_header, label_column=None):
     every row must have as many cells as the first, and every cell outside
     the label column must parse as a finite float. With ``label_column`` None
     every column is a feature and the label cells come back empty; a label
-    column needs at least one feature column beside it. Blank lines are
-    skipped, and rows are numbered from 1 after the header.
+    column needs at least one feature column beside it. Cells may be quoted,
+    blank lines are skipped, and rows are numbered from 1 after the header.
 
-    Two readers share this contract, and the route is chosen before the file
-    is opened. numpy's C text reader is tried first on a regular file whose
-    name numpy does not take for a compressed one (a suffix in
-    :data:`NUMPY_DECOMPRESSED_SUFFIXES`): ``csv.reader`` reads the header and
-    the first data row, the raw bytes after the header are scanned in
-    bounded blocks for a ``"`` or one of :data:`C_READER_ONLY_SPACE`, and
-    ``np.loadtxt``, given the file's name, skips the header's physical lines
-    and reads the data rows in its own chunks into a structured array,
-    float64 for the feature columns and ``object`` for the label. It parses
-    each cell with ``PyOS_string_to_double``, the parser ``float()`` ends in,
-    so its values are those of ``float(cell)`` bit for bit. Its result is
-    used only if the scan found none of those characters, the call raised
-    nothing and every feature value is finite. Any other file is read from
-    the start by the streaming reader, and its value or error is returned
-    unchanged, so quoted cells, ``1_0``, non-ASCII digits and every malformed
-    file give the same values, messages, rows and columns on both. A pipe, a
-    device or a compressed name goes straight to the streaming reader, so
-    the file is opened once. One divergence is known: the C reader has no
-    field size limit, so a label or finite feature cell longer than csv's
-    131,072 characters, past the first data row, is read rather than refused.
-
-    The streaming reader makes one pass over ``csv.reader``: it checks each
-    row's width, runs ``float()`` on each feature cell as it is read and
-    packs the row's values onto one ``bytearray``, which becomes the matrix.
-    The first bad row wins, and in it the first bad cell; a non-finite value
-    is reported only when every cell parsed. A file that cannot be read as
-    CSV text (a directory, undecodable bytes, a cell over csv's field size
-    limit) is an :class:`IngestError` naming the file.
+    ``csv.reader`` reads the header and the first data row, which fix the
+    columns, and one ``np.loadtxt`` call reads every data row: by name for a
+    regular file, and otherwise from the text read through the one open
+    handle. README's CSV contract says which cells numpy refuses that
+    ``float()`` reads. A refused file, or one holding a non-finite value, is
+    read again by ``csv.reader`` to name its first bad row and cell.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
+    # numpy cannot open a pipe or a device a second time, and its opener
+    # resolves the working directory, which may be gone
     by_name = path.is_file() and path.suffix not in NUMPY_DECOMPRESSED_SUFFIXES
     try:
+        os.getcwd()
+    except FileNotFoundError:
+        by_name = False
+    try:
         with path.open(newline="") as fh:
+            source = fh
+            if not by_name:  # read once, decoded block by block, into a seekable copy
+                source = io.StringIO("".join(iter(partial(fh.read, SCAN_BYTES), "")), newline="")
+            reader = csv.reader(source)
+            rows = filter(None, reader)
+            first = next(rows, None)
+            if first is None:
+                raise IngestError(f"{path} is empty")
+            header, skip = None, 0
+            if has_header:
+                header, skip = [c.strip() for c in first], reader.line_num
+                first = next(rows, None)
+                if first is None:
+                    raise IngestError(f"{path} has a header but no data rows")
+            n_cols = len(first)
+            label_idx, feature_idx, feature_names = _csv_columns(
+                path, header, n_cols, label_column
+            )
+            # The feature columns before and after the label are one float64
+            # subarray field each, so two slices give the feature matrix.
+            lead = n_cols if label_idx is None else label_idx
+            fields = [("lead", np.float64, (lead,))]
+            if label_idx is not None:
+                fields += [("label", object), ("rest", np.float64, (n_cols - lead - 1,))]
+            # scanned before numpy reads, while no large array is alive: a scan
+            # after it raised the resident peak of request-sized reads by 2 MB
             if by_name:
-                read = _read_csv_c(path, fh, has_header, label_column)
-                if read is not None:
-                    return read
-                fh.seek(0)
-            return _parse_csv(path, csv.reader(fh), has_header, label_column)
+                fh.buffer.seek(0)
+                blocks = iter(partial(fh.buffer.read, SCAN_BYTES), b"")
+                spaced = any(c.encode() in b for b in blocks for c in NUMPY_ONLY_SPACE)
+            else:
+                spaced = any(c in source.getvalue() for c in NUMPY_ONLY_SPACE)
+            source.seek(0)
+            try:
+                table = np.loadtxt(
+                    path if by_name else source,
+                    dtype=np.dtype(fields),
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    skiprows=skip,
+                    encoding=fh.encoding,
+                    ndmin=1,
+                )
+            except ValueError as exc:
+                _raise_first_bad_row(path, source, has_header, n_cols, feature_idx)
+                raise IngestError(f"{path} cannot be read as CSV: {exc}") from exc
+            if label_idx is None:
+                x, labels = table["lead"], []
+            else:
+                # a copy, so that the table is freed on return
+                x = np.concatenate((table["lead"], table["rest"]), axis=1)
+                labels = [cell.strip() for cell in table["label"].tolist()]
+            finite = np.isfinite(x).all()
+            if spaced or not finite:
+                _raise_first_bad_row(path, source, has_header, n_cols, feature_idx)
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path} is not text: {exc}") from exc
     except (OSError, csv.Error) as exc:
         raise IngestError(f"{path} cannot be read as CSV: {exc}") from exc
+    if not finite:
+        r, j = np.argwhere(~np.isfinite(x))[0]
+        raise IngestError(
+            f"{path}: non-finite value {float(x[r, j])} at row {r + 1}, "
+            f"column {feature_idx[j] + 1}"
+        )
+    return feature_names, x, labels
+
+
+def _raise_first_bad_row(path, source, has_header, n_cols, feature_idx):
+    """Raise the IngestError naming the first bad data row of ``source``, if one is.
+
+    A row is bad when it has other than ``n_cols`` cells, or a feature cell
+    that ``float()`` refuses or that numpy's parser refuses: ``_`` or, after
+    stripping white space, a non-ASCII character. No values are kept.
+    """
+    source.seek(0)
+    rows = filter(None, csv.reader(source))
+    if has_header:
+        next(rows)
+    for n, row in enumerate(rows, 1):
+        if len(row) != n_cols:
+            raise IngestError(f"{path}: row {n} has {len(row)} cells, expected {n_cols}")
+        for j in feature_idx:
+            cell = row[j].strip()
+            try:
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError
+                float(row[j])
+            except ValueError:
+                raise IngestError(
+                    f"{path}: cannot parse {cell!r} at row {n}, column {j + 1}"
+                ) from None
 
 
 def _csv_columns(path, header, n_cols, label_column):
@@ -183,101 +248,6 @@ def _csv_columns(path, header, n_cols, label_column):
         [header[i] for i in feature_idx] if header else [f"x{i}" for i in feature_idx]
     )
     return label_idx, feature_idx, feature_names
-
-
-def _read_csv_c(path, fh, has_header, label_column):
-    """:func:`_read_csv` by numpy's C reader, or None when the streaming reader must decide."""
-    taken = []  # the raw lines csv.reader has taken from fh
-
-    def remembered():
-        for line in fh:
-            taken.append(line)
-            yield line
-
-    rows = filter(None, csv.reader(remembered()))
-    header = [c.strip() for c in next(rows, ())] if has_header else None
-    head, skip = "".join(taken), len(taken)  # the header's text and physical lines
-    first = next(rows, None)
-    if first is None:
-        return None
-    label_idx, _, feature_names = _csv_columns(path, header, len(first), label_column)
-    with open(path, "rb") as data_bytes:
-        data_bytes.seek(len(head.encode(fh.encoding)))
-        # only csv.reader unquotes a cell: np.loadtxt fails on a quoted
-        # feature and keeps the quotes of a quoted label
-        while block := data_bytes.read(C_READER_SCAN_BYTES):
-            if any(c in block for c in C_READER_REFUSED_BYTES):
-                return None
-    # The feature columns before and after the label are one float64
-    # subarray field each, so two slices give the feature matrix.
-    lead = len(first) if label_idx is None else label_idx
-    fields = [("lead", np.float64, (lead,))]
-    if label_idx is not None:
-        fields += [("label", object), ("rest", np.float64, (len(first) - lead - 1,))]
-    try:
-        table = np.loadtxt(
-            path,
-            dtype=np.dtype(fields),
-            delimiter=",",
-            comments=None,
-            skiprows=skip,
-            encoding=fh.encoding,
-            ndmin=1,
-        )
-    except (ValueError, OSError):
-        # numpy's opener also fails when the working directory is gone
-        return None
-    if label_idx is None:
-        x, raw = table["lead"], []
-    else:
-        x = np.concatenate((table["lead"], table["rest"]), axis=1)
-        raw = table["label"].tolist()
-    if not np.isfinite(x).all():
-        return None
-    return feature_names, x, [cell.strip() for cell in raw]
-
-
-def _parse_csv(path, reader, has_header, label_column):
-    first = next((r for r in reader if r), None)
-    if first is None:
-        raise IngestError(f"{path} is empty")
-    header = None
-    if has_header:
-        header = [c.strip() for c in first]
-        first = next((r for r in reader if r), None)
-        if first is None:
-            raise IngestError(f"{path} has a header but no data rows")
-    n_cols = len(first)
-    label_idx, feature_idx, feature_names = _csv_columns(path, header, n_cols, label_column)
-    pack = struct.Struct(f"{len(feature_idx)}d").pack
-    values, labels, n = bytearray(), [], 0
-    for row in chain((first,), reader):
-        if not row:
-            continue
-        n += 1
-        if len(row) != n_cols:
-            raise IngestError(f"{path}: row {n} has {len(row)} cells, expected {n_cols}")
-        if label_idx is not None:
-            labels.append(row.pop(label_idx).strip())
-        cells = iter(row)
-        try:
-            values += pack(*map(float, cells))
-        except ValueError:
-            # map stopped at the bad cell, so the cells left after it place it
-            j = len(row) - len(list(cells)) - 1
-            raise IngestError(
-                f"{path}: cannot parse {row[j].strip()!r} at row {n}, column {feature_idx[j] + 1}"
-            ) from None
-    x = np.frombuffer(values).reshape(n, len(feature_idx))
-    # float() accepts "nan" and "inf"; one vectorized pass rejects them.
-    bad = ~np.isfinite(x)
-    if bad.any():
-        r, j = np.argwhere(bad)[0]
-        raise IngestError(
-            f"{path}: non-finite value {float(x[r, j])} at row {r + 1}, "
-            f"column {feature_idx[j] + 1}"
-        )
-    return feature_names, x, labels
 
 
 def load_csv(path, label_column=-1, has_header=True, dataset_id=None):

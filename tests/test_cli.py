@@ -389,6 +389,48 @@ def test_predict_header_width_mismatch_exits_3(tmp_path, capsys, text, extra, me
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cell,shown", [("1_0", "1_0"), ("\x1c4", "4")], ids=["underscore", "separator"]
+)
+def test_predict_refuses_a_cell_float_reads_but_numpy_does_not(tmp_path, capsys, cell, shown):
+    params = model.AlcParams(2, 3, 2, np.zeros((2, 3)), np.zeros((3, 2)))
+    model_path = tmp_path / "m.json"
+    model.save_model(params, {"seed": 0, "epochs": 1, "agents": 2, "dataset_id": "x"}, model_path)
+    data_path = tmp_path / "requests.csv"
+    data_path.write_text(f"a,b\n1,2\n3,{cell}\n")
+    assert run_cli("predict", "--model", str(model_path), "--data", str(data_path)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {data_path}: cannot parse {shown!r} at row 2, column 2\n"
+
+
+def test_predict_reads_a_fully_quoted_crlf_file_as_its_unquoted_twin(tmp_path, capsys):
+    ds = load_dataset("iris")
+    rng = np.random.default_rng(0)
+    params = model.AlcParams(
+        4, 6, 3, rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (6, 3))
+    )
+    model_path = tmp_path / "model.json"
+    model.save_model(
+        params, {"seed": 1, "epochs": 1, "agents": 2, "dataset_id": "iris"}, model_path
+    )
+    table = [[*ds.feature_names, "label"]] + [
+        [*map(repr, row), ds.label_names[k]] for row, k in zip(ds.x[::5].tolist(), ds.y[::5])
+    ]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("".join(",".join(cells) + "\n" for cells in table))
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(
+        "".join(",".join(f'"{c}"' for c in cells) + "\r\n" for cells in table), newline=""
+    )
+    outputs = []
+    for path in (plain, quoted):
+        argv = ["predict", "--model", str(model_path), "--data", str(path)]
+        assert run_cli(*argv, "--label-column", "label") == 0
+        outputs.append(capsys.readouterr().out.split())
+    assert outputs[0] == outputs[1] == [str(k) for k in model.predict(ds.x[::5], params)]
+
+
 def test_predict_bad_model_file(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{}")

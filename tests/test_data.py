@@ -4,7 +4,6 @@ import struct
 import sys
 import threading
 import tracemalloc
-from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -48,12 +47,6 @@ def test_bundled_dataset_shapes(dataset_id, n, f, c):
     assert (ds.n_samples, ds.n_features, ds.n_classes) == (n, f, c)
     assert len(ds.feature_names) == f
     assert len(ds.label_names) == c
-
-
-@pytest.mark.parametrize("dataset_id", data.BUNDLED_DATASETS)
-def test_bundled_csvs_are_read_by_the_c_reader(dataset_id):
-    with resources.as_file(data.bundled_csv_path(dataset_id)) as path, path.open(newline="") as fh:
-        assert data._read_csv_c(path, fh, True, "label") is not None
 
 
 def test_bundled_datasets_load_from_the_package_under_another_name(monkeypatch):
@@ -207,7 +200,7 @@ def test_csv_values_are_bit_equal_to_float_of_each_cell(
 
 
 @pytest.mark.parametrize(
-    "cell", ["1_0", " 12.5 ", "\u00a012\u00a0", "\uff13.\uff15", "-0", "-0.0", "1e-320", "+.5", "\t7\t"]
+    "cell", [" 12.5 ", "\u00a012\u00a0", "-0", "-0.0", "1e-320", "+.5", "\t7\t"]
 )
 def test_csv_odd_cells_read_as_float_reads_them(tmp_path, cell):
     path = tmp_path / "odd.csv"
@@ -217,141 +210,131 @@ def test_csv_odd_cells_read_as_float_reads_them(tmp_path, cell):
 
 @pytest.mark.parametrize("cell", ["1\x1c", "\x1d2", "\x1e3\x1e", "4\x1f"])
 def test_csv_cells_padded_with_separators_are_refused_as_float_refuses_them(tmp_path, cell):
-    # numpy's C reader skips U+001C..U+001F as white space; float() does not.
+    # numpy's parser skips U+001C..U+001F as white space; float() does not.
     path = tmp_path / "sep.csv"
     path.write_text(f"a,b\n1,{cell}\n")
     with pytest.raises(IngestError, match=r"cannot parse .* at row 1, column 2"):
         load_features(path)
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\uff13.\uff15", "\u0661"])
+def test_csv_cells_numpy_refuses_are_refused_though_float_reads_them(tmp_path, cell):
+    # numpy's parser takes no underscores and only ASCII digits
+    path = tmp_path / "narrow.csv"
+    path.write_text(f"a,b\n1,{cell}\n")
+    with pytest.raises(IngestError, match=r"cannot parse .* at row 1, column 2$"):
+        load_features(path)
+
+
 def test_csv_cell_over_the_field_limit_past_row_one_is_read(tmp_path):
-    # The known divergence from csv.reader: the C reader has no field size limit.
+    # csv.reader, which has the field size limit, reads only the header and row 1
     cell = "0." + "0" * 140_000 + "1"
     path = tmp_path / "long.csv"
     path.write_text(f"a,b\n1,2\n3,{cell}\n")
     assert np.array_equal(_bits(load_features(path)), _bits([[1.0, 2.0], [3.0, float(cell)]]))
 
 
-# Cells and lines the C reader refuses or must not take, so the streaming
-# reader decides; each marks its file as not clean.
-SPOILED_CELLS = ['"1.5"', "1_0", "\uff13", "nan", "1e999", "-inf", "\x1c1", "1\x1f", "abc", "", "0x10"]
-SPOILED_LABELS = ['"p"', '"p,q"', 'p"q']
-SPOILED_LINES = ["   ", "ragged-short", "ragged-long"]
-CLEAN_PADS = ("{}", " {} ", "\u00a0{}\u00a0", "\t{}")
+# Feature cells the reader refuses, cells it reads as non-finite, and labels
+# with the text each reads back as.
+REFUSED_CELLS = ["1_0", "\uff13", "\u0661", "\x1c1", "1\x1f", "abc", '""', "0x10"]
+NON_FINITE_CELLS = ["nan", "1e999", "-inf"]
+LABELS = {"p": "p", " r ": "r", "": "", '"p,q"': "p,q", '"p\nq"': "p\nq", 'p"q': 'p"q', '"a""b"': 'a"b'}
+# each writes a float that reads back bit for bit
+EXACT_FORMATS = (repr, "%.17g".__mod__, "%.16e".__mod__)
+CLEAN_PADS = ("{}", " {} ", "\u00a0{}\u00a0", "\t{}", '"{}"', '" {} "')
 
 
 @st.composite
 def csv_files(draw):
-    """(text, has_header, label_column, clean): a small CSV, its read arguments,
-    and whether the C reader must take it."""
+    """(text, has_header, label_column, expected): a small CSV, its read
+    arguments, and what reading it gives, either (feature names, values,
+    labels) or the pattern of the IngestError it raises."""
     n_features = draw(st.integers(1, 3))
     label_idx = draw(st.sampled_from([None, 0, min(1, n_features), n_features]))
     n_cols = n_features + (label_idx is not None)
+    feature_idx = [i for i in range(n_cols) if i != label_idx]
     has_header = draw(st.booleans())
     label_column = None
     if label_idx is not None:
         label_column = draw(
             st.sampled_from([label_idx, label_idx - n_cols] + ["label"] * has_header)
         )
-    clean = True
-    rows = []
-    for r in range(draw(st.sampled_from([0, 1, 2, 7]))):
+    rows, values, labels = [], [], []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 7]))):
+        row = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=n_features, max_size=n_features))
         cells = [
-            draw(st.sampled_from(CLEAN_PADS)).format(draw(st.sampled_from(CELL_FORMATS))(v))
-            for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                   min_size=n_features, max_size=n_features))
+            draw(st.sampled_from(CLEAN_PADS)).format(draw(st.sampled_from(EXACT_FORMATS))(v))
+            for v in row
         ]
         if label_idx is not None:
-            cells.insert(label_idx, draw(st.sampled_from(["p", "q", " r ", ""])))
+            label = draw(st.sampled_from(sorted(LABELS)))
+            cells.insert(label_idx, label)
+            labels.append(LABELS[label])
         rows.append(cells)
-    if not rows:
-        clean = False
-    for r in draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)) if rows else ():
-        kind = draw(st.sampled_from(["cell", "label", "line"]))
-        if kind == "label" and label_idx is not None:
-            rows[r][label_idx] = draw(st.sampled_from(SPOILED_LABELS))
-        elif kind == "line":
-            line = draw(st.sampled_from(SPOILED_LINES))
-            rows[r] = {"ragged-short": rows[r][:-1], "ragged-long": rows[r] + ["1"]}.get(line, [line])
+        values.append(row)
+    # A ragged row or a refused cell names the first such row; a non-finite
+    # value is named only when there is none. Row 1 fixes the width.
+    refused, non_finite = [], []
+    for r in sorted(draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)) if rows else ()):
+        n, kind = r + 1, draw(st.sampled_from(["cell", "non-finite"] + ["line"] * (r > 0)))
+        if kind == "line":
+            rows[r] = draw(st.sampled_from(
+                [["   "], rows[r] + ["1"]] + [rows[r][:-1]] * (n_cols > 1)
+            ))
+            if len(rows[r]) != n_cols:
+                refused.append(f"row {n} has {len(rows[r])} cells, expected {n_cols}")
+            else:
+                refused.append(f"cannot parse '' at row {n}, column 1")
         else:
-            j = draw(st.sampled_from([i for i in range(n_cols) if i != label_idx]))
-            rows[r][j] = draw(st.sampled_from(SPOILED_CELLS))
-        clean = False
+            j = draw(st.sampled_from(feature_idx))
+            if kind == "cell":
+                rows[r][j] = draw(st.sampled_from(REFUSED_CELLS))
+                refused.append(f"cannot parse .* at row {n}, column {j + 1}")
+            else:
+                rows[r][j] = draw(st.sampled_from(NON_FINITE_CELLS))
+                non_finite.append(f"non-finite value .* at row {n}, column {j + 1}")
     lines = [",".join(cells) for cells in rows]
+    names = [f"{'h' if has_header else 'x'}{i}" for i in feature_idx]
+    expected = (names, values, labels)
     if has_header:
         header = [f"h{i}" for i in range(n_cols)]
         if label_idx is not None:
             header[label_idx] = "label"
-        width = draw(st.sampled_from([n_cols] * 4 + [n_cols - 1, n_cols + 1]))
-        clean &= width == n_cols
+        width = draw(st.sampled_from([n_cols] * 4 + [n_cols + 1] + [n_cols - 1] * (n_cols > 1)))
         lines.insert(0, ",".join((header + ["extra"])[:width]))
+        if width != n_cols:
+            expected = f"header has {width} cells but row 1 has {n_cols}"
+    if not rows:
+        expected = " has a header but no data rows" if has_header else " is empty"
+    elif isinstance(expected, tuple) and (refused or non_finite):
+        expected = (refused or non_finite)[0]
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), "")
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join(lines) + newline * draw(st.booleans()), has_header, label_column, clean
-
-
-def _read_outcome(path, has_header, label_column):
-    try:
-        names, x, labels = data._read_csv(path, has_header, label_column)
-    except (IngestError, ParameterError) as exc:
-        return type(exc), str(exc)
-    return names, x.shape, _bits(x).tobytes(), labels
+    return newline.join(lines) + newline * draw(st.booleans()), has_header, label_column, expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_files())
-def test_c_reader_and_streaming_reader_agree(tmp_path_factory, case):
-    text, has_header, label_column, clean = case
+def test_csv_files_read_back_what_was_written(tmp_path_factory, case):
+    text, has_header, label_column, expected = case
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     path.write_text(text, newline="")
-    with mock.patch.object(data, "_read_csv_c", return_value=None):
-        streamed = _read_outcome(path, has_header, label_column)
-    assert _read_outcome(path, has_header, label_column) == streamed
-    if clean:
-        with path.open(newline="") as fh:
-            assert data._read_csv_c(path, fh, has_header, label_column) is not None
+    if isinstance(expected, str):
+        sep = "" if expected.startswith(" ") else ": "
+        with pytest.raises(IngestError, match=rf"f\.csv{sep}{expected}$"):
+            data._read_csv(path, has_header, label_column)
+        return
+    names, values, labels = expected
+    got_names, x, got_labels = data._read_csv(path, has_header, label_column)
+    assert (got_names, got_labels) == (names, labels)
+    assert x.shape == (len(values), len(names))
+    assert np.array_equal(_bits(x), _bits(np.reshape(values, x.shape)))
 
 
-@pytest.mark.parametrize("row", [1, 4000], ids=["first-row", "later-block"])
-@pytest.mark.parametrize("quoted", ["label", "feature"])
-def test_the_c_reader_never_hands_loadtxt_a_quote(tmp_path, row, quoted):
-    # 5,000 rows of about 28 characters span three C reader blocks
-    lines = ["x,y,label"] + [f"{r},{r / 7!r},b" for r in range(1, 5001)]
-    lines[row] = f'{row},{row / 7!r},"b"' if quoted == "label" else f'"{row}",{row / 7!r},b'
-    path = tmp_path / "quoted.csv"
-    path.write_text("\n".join(lines) + "\n")
-    handed = []
-    loadtxt = np.loadtxt
-
-    def spy(source, *args, **kwargs):
-        def seen():
-            for line in source:
-                handed.append(line)
-                yield line
-
-        return loadtxt(seen(), *args, **kwargs)
-
-    with path.open(newline="") as fh, mock.patch.object(np, "loadtxt", spy):
-        assert data._read_csv_c(path, fh, True, "label") is None
-    assert not any('"' in line for line in handed)
-    ds = load_csv(path, label_column="label")  # the streaming reader unquotes the cell
-    assert ds.x.shape == (5000, 2) and ds.x[row - 1].tolist() == [row, row / 7]
-
-
-def _dataset_view(ds):
-    return ds.feature_names, _bits(ds.x).tolist(), ds.label_names, ds.y.tolist()
-
-
-ROUTED_CSV = "x,y,label\n1,0.5,{}\n2,-1.25,q\n3,2e-3,p\n"
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("label", ["p", '"p"'], ids=["clean", "quoted-label"])
-def test_a_fifo_is_opened_once_and_read_by_the_streaming_reader(tmp_path, label):
-    text = ROUTED_CSV.format(label)
-    regular = tmp_path / "rows.csv"
-    regular.write_text(text)
+def _load_from_fifo(tmp_path, text):
+    """load_csv of ``text`` written into a named pipe by another thread."""
     fifo = tmp_path / "fifo.csv"
     os.mkfifo(fifo)
     got = []
@@ -374,6 +357,66 @@ def test_a_fifo_is_opened_once_and_read_by_the_streaming_reader(tmp_path, label)
     assert not hung, "load_csv blocked opening the FIFO a second time"
     (read_back,) = got
     assert not isinstance(read_back, Exception), read_back
+    return read_back
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_an_undecodable_fifo_is_refused_before_its_writer_closes(tmp_path):
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    release = threading.Event()
+
+    def write():
+        with fifo.open("wb") as fh:
+            fh.write(b"a,b\n1,2\n\xff\xfe,4\n")
+            fh.flush()
+            release.wait(10)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(IngestError, match=r"fifo\.csv is not text"):
+            load_features(fifo)
+        assert writer.is_alive(), "load_features waited for the end of the stream"
+    finally:
+        release.set()
+        writer.join(timeout=10)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["regular", pytest.param("fifo", marks=pytest.mark.skipif(
+        not hasattr(os, "mkfifo"), reason="needs named pipes"))],
+)
+def test_a_quoted_csv_is_read_by_one_loadtxt_call(tmp_path, source):
+    lines = ["x,y,label"] + [f'"{r}",{r / 7!r},"b{r % 2}"' for r in range(1, 5001)]
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        if source == "regular":
+            path = tmp_path / "quoted.csv"
+            path.write_text(text)
+            ds = load_csv(path, label_column="label")
+        else:
+            ds = _load_from_fifo(tmp_path, text)
+    assert spy.call_count == 1
+    assert ds.x.shape == (5000, 2) and ds.x[-1].tolist() == [5000, 5000 / 7]
+    assert ds.label_names == ["b1", "b0"]
+
+
+def _dataset_view(ds):
+    return ds.feature_names, _bits(ds.x).tolist(), ds.label_names, ds.y.tolist()
+
+
+ROUTED_CSV = "x,y,label\n1,0.5,{}\n2,-1.25,q\n3,2e-3,p\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("label", ["p", '"p"'], ids=["clean", "quoted-label"])
+def test_a_fifo_is_opened_once_and_read_by_the_streaming_reader(tmp_path, label):
+    text = ROUTED_CSV.format(label)
+    regular = tmp_path / "rows.csv"
+    regular.write_text(text)
+    read_back = _load_from_fifo(tmp_path, text)
     assert _dataset_view(read_back) == _dataset_view(load_csv(regular, label_column="label"))
 
 
@@ -395,11 +438,6 @@ def test_a_header_over_several_physical_lines_keeps_the_c_reader(tmp_path, newli
     lines = ["", f'"x{newline}wide",y,label', "1,0.5,p", "2,-1.25,q"]
     path = tmp_path / "wide.csv"
     path.write_text(newline.join(lines) + newline, newline="")
-    with path.open(newline="") as fh:
-        assert data._read_csv_c(path, fh, True, "label") is not None
-    with mock.patch.object(data, "_read_csv_c", return_value=None):
-        streamed = _read_outcome(path, True, "label")
-    assert _read_outcome(path, True, "label") == streamed
     ds = load_csv(path, label_column="label")
     assert ds.feature_names == [f"x{newline}wide", "y"] and ds.x.tolist() == [[1, 0.5], [2, -1.25]]
 
@@ -417,11 +455,6 @@ def test_a_csv_reads_after_the_working_directory_is_removed(tmp_path, monkeypatc
 def test_a_utf8_bom_header_reads_as_before(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + ROUTED_CSV.format("p").encode())
-    with path.open(newline="") as fh:
-        assert data._read_csv_c(path, fh, True, "label") is not None
-    with mock.patch.object(data, "_read_csv_c", return_value=None):
-        streamed = _read_outcome(path, True, "label")
-    assert _read_outcome(path, True, "label") == streamed
     ds = load_csv(path, label_column="label")
     assert ds.feature_names == ["\ufeffx", "y"] and ds.x.tolist() == [[1, 0.5], [2, -1.25], [3, 2e-3]]
 
@@ -540,9 +573,6 @@ def test_csv_ingest_peak_memory_is_bounded_by_the_matrix(tmp_path, label):
     path = tmp_path / "big.csv"
     path.write_text("\n".join(lines) + "\n")
     del lines
-    with path.open(newline="") as fh:
-        # a quoted label cell leaves the file to the streaming reader
-        assert (data._read_csv_c(path, fh, True, "label") is None) == ('"' in label)
     tracemalloc.start()
     try:
         ds = load_csv(path, label_column="label")
