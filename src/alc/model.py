@@ -295,7 +295,10 @@ class TrainingObjective:
         # Samples run along the contiguous axis of every class-major array.
         # ``self.x`` is a view whose transpose is this copy, so the reference
         # path multiplies by exactly the operand the population path does.
-        self.x_t = aligned_copy(x.T)
+        # One sample is copied as one dense row: a column of padded rows
+        # reaches BLAS as a strided vector, whose products differ in the
+        # last bit from those of a dense one.
+        self.x_t = aligned_copy(x.T) if n > 1 else aligned_copy(x).reshape(f, 1)
         self.x = self.x_t.T
         self._labels = metrics.one_hot_labels(y_onehot)
         self._samples = np.arange(n)

@@ -403,6 +403,21 @@ def test_a_quoted_csv_is_read_by_one_loadtxt_call(tmp_path, source):
     assert ds.label_names == ["b1", "b0"]
 
 
+@pytest.mark.parametrize("row", [1, 4000], ids=["first-row", "later-block"])
+@pytest.mark.parametrize("quoted", ["label", "feature"])
+def test_a_quoted_cell_is_read_by_the_one_loadtxt_call(tmp_path, row, quoted):
+    # csv.reader reads the first data row too, to fix the columns; row 4,000 only numpy reads
+    lines = ["x,y,label"] + [f"{r},{r / 7!r},b" for r in range(1, 5001)]
+    lines[row] = f'{row},{row / 7!r},"b"' if quoted == "label" else f'"{row}",{row / 7!r},b'
+    path = tmp_path / "quoted.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        ds = load_csv(path, label_column="label")
+    assert spy.call_count == 1
+    assert ds.x.shape == (5000, 2) and ds.x[row - 1].tolist() == [row, row / 7]
+    assert ds.label_names == ["b"]
+
+
 def _dataset_view(ds):
     return ds.feature_names, _bits(ds.x).tolist(), ds.label_names, ds.y.tolist()
 
