@@ -142,9 +142,7 @@ def _cmd_crossval(args):
         except ValueError:
             grid = []
         if not grid:
-            raise ConfigError(
-                f"--lobule-grid takes a comma list of integers, got {args.lobule_grid!r}"
-            )
+            raise ConfigError(f"--lobule-grid takes a comma list of integers, got {args.lobule_grid!r}")
     dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
     out_dir = _report_dir(args, f"crossval_{cfg.dataset_id}")
     if grid is not None:

@@ -4,7 +4,9 @@ A run is fully determined by its :class:`ExperimentConfig`. Fold membership,
 parameter initialization, and optimizer seeds all derive from the config seed
 through named substreams, so repeating a run reproduces every number; folds
 are independent of each other and may execute in parallel without changing
-results.
+results. Cross-validation, the ablation and the lobule grid each run a list of
+cells through :func:`_run_cells`: every cell checked, then one split and one
+task list of ``(cell, fold)`` pairs in one process pool.
 
 Per fold the pipeline is: fit preprocessing on the training rows only,
 transform both sides, train the classifier by minimizing training log loss
@@ -44,14 +46,6 @@ DEFAULT_LOBULES = {
 
 DEFAULT_LDA_DIMS = {"mnist": 9}
 DEFAULT_SUBSAMPLE = {"mnist": 2000}
-
-DEFAULT_LOBULE_GRIDS = {
-    "iris": (5, 10, 15, 20),
-    "breast_cancer": (5, 10, 15, 20),
-    "wine": (5, 10, 15, 20, 25),
-    "voice_gender": (10, 15, 20, 25),
-    "mnist": (25, 50, 75),
-}
 
 # Substream tags for deriving independent generators from the config seed.
 _FOLD_STREAM = 1
@@ -278,30 +272,47 @@ def prepare_arrays(cfg, dataset):
     return x, y
 
 
-def run_crossval(cfg, dataset=None, jobs=1):
-    """K-fold cross-validation of the classifier under ``cfg``."""
-    if dataset is None:
-        dataset = data.load_dataset(cfg.dataset_id)
-    x, y = prepare_arrays(cfg, dataset)
-    plan = data.stratified_kfold(y, cfg.k_folds, RngStream(cfg.seed).child(_SPLIT_STREAM))
+def _distinct(noun, items):
+    """``items`` as a tuple; no items, or an item given twice, is a :class:`ParameterError`."""
+    items = tuple(items)
+    if not items:
+        raise ParameterError(f"no {noun}s given")
+    repeated = [item for i, item in enumerate(items) if item in items[:i]]
+    if repeated:
+        raise ParameterError(f"{noun} {repeated[0]!r} is given more than once")
+    return items
 
-    tasks = [(cfg, x, y, dataset.n_classes, plan.assignments, fold) for fold in range(cfg.k_folds)]
+
+def _run_cells(configs, dataset=None, jobs=1):
+    """Cross-validate each config; one :class:`CrossvalResult` per config, in order.
+
+    Every cell's lobule count is checked before the first fold runs. The
+    cells of a sweep differ only in ``lobules`` and ``variant``, which neither
+    the subsample nor the fold plan reads, so the first config's split serves
+    every cell, and all ``(cell, fold)`` tasks share one task list and one pool.
+    """
+    first = configs[0]
+    if dataset is None:
+        dataset = data.load_dataset(first.dataset_id)
+    for cell in configs:
+        model.check_lobules(cell.lobules, dataset.n_classes, cell.variant)
+    x, y = prepare_arrays(first, dataset)
+    plan = data.stratified_kfold(y, first.k_folds, RngStream(first.seed).child(_SPLIT_STREAM))
+
+    k = first.k_folds
+    tasks = [(cell, x, y, dataset.n_classes, plan.assignments, fold) for cell in configs for fold in range(k)]
     outcomes = _map_tasks(_fold_worker, tasks, jobs)
 
-    fold_reports, histories, models = (list(column) for column in zip(*outcomes))
-    return CrossvalResult(
-        config=cfg,
-        folds=fold_reports,
-        mean=mean_report(fold_reports),
-        histories=histories,
-        models=models,
-    )
+    results = []
+    for i, cell in enumerate(configs):
+        reports, histories, models = map(list, zip(*outcomes[i * k : (i + 1) * k]))
+        results.append(CrossvalResult(cell, reports, mean_report(reports), histories, models))
+    return results
 
 
-def _check_cells(configs, n_classes):
-    """Refuse, before any fold runs, a config whose lobule count its variant cannot use."""
-    for cell in configs:
-        model.check_lobules(cell.lobules, n_classes, cell.variant)
+def run_crossval(cfg, dataset=None, jobs=1):
+    """K-fold cross-validation of the classifier under ``cfg``."""
+    return _run_cells([cfg], dataset, jobs)[0]
 
 
 def run_ablation(cfg, dataset=None, variants=model.VARIANTS, jobs=1):
@@ -310,35 +321,21 @@ def run_ablation(cfg, dataset=None, variants=model.VARIANTS, jobs=1):
     ``identity-vitamin`` only exists for lobules == classes, so that row runs
     at ``lobules = n_classes``; its result's ``config`` records the count used.
     """
+    variants = _distinct("variant", variants)
     if dataset is None:
         dataset = data.load_dataset(cfg.dataset_id)
-    configs = {
-        tag: replace(
-            cfg, variant=tag, lobules=dataset.n_classes if tag == "identity-vitamin" else cfg.lobules
-        )
+    configs = [
+        replace(cfg, variant=tag, lobules=dataset.n_classes if tag == "identity-vitamin" else cfg.lobules)
         for tag in variants
-    }
-    _check_cells(configs.values(), dataset.n_classes)
-    return {
-        tag: run_crossval(variant_cfg, dataset=dataset, jobs=jobs)
-        for tag, variant_cfg in configs.items()
-    }
+    ]
+    return dict(zip(variants, _run_cells(configs, dataset, jobs)))
 
 
-def lobule_grid_search(cfg, grid=None, dataset=None, jobs=1):
-    """Cross-validate over a lobule grid; best is highest mean accuracy."""
-    if grid is None:
-        grid = DEFAULT_LOBULE_GRIDS.get(cfg.dataset_id)
-        if grid is None:
-            raise ConfigError(f"no default lobule grid for {cfg.dataset_id!r}")
-    configs = [replace(cfg, lobules=int(p)) for p in grid]
-    if dataset is None:
-        dataset = data.load_dataset(cfg.dataset_id)
-    _check_cells(configs, dataset.n_classes)  # every width, before any fold runs
-    rows = []
-    for grid_cfg in configs:
-        result = run_crossval(grid_cfg, dataset=dataset, jobs=jobs)
-        rows.append((grid_cfg.lobules, result.mean.accuracy, result))
+def lobule_grid_search(cfg, grid, dataset=None, jobs=1):
+    """Cross-validate over a lobule grid; best is highest mean accuracy, then fewest lobules."""
+    widths = _distinct("lobule count", (int(p) for p in grid))
+    results = _run_cells([replace(cfg, lobules=p) for p in widths], dataset, jobs)
+    rows = [(result.config.lobules, result.mean.accuracy, result) for result in results]
     best = max(rows, key=lambda r: (r[1], -r[0]))
     return best[2], rows
 
@@ -371,13 +368,7 @@ def build_rank_table(stats_rows):
             ranks[opt][fid] = float(position[idx])
     totals = {opt: float(sum(ranks[opt].values())) for opt in optimizers}
     averages = {opt: totals[opt] / len(function_ids) for opt in optimizers}
-    return RankTable(
-        optimizers=optimizers,
-        function_ids=function_ids,
-        ranks=ranks,
-        totals=totals,
-        averages=averages,
-    )
+    return RankTable(optimizers, function_ids, ranks, totals, averages)
 
 
 @dataclass
@@ -421,13 +412,7 @@ def optbench_ids(function_ids, optimizer_ids):
     for opt in optimizer_ids:
         if opt not in OPTIMIZERS:
             raise ParameterError(f"unknown optimizer {opt!r}")
-    for kind, ids in (("function", function_ids), ("optimizer", optimizer_ids)):
-        if not ids:
-            raise ParameterError(f"no {kind} ids given")
-        repeated = [name for i, name in enumerate(ids) if name in ids[:i]]
-        if repeated:
-            raise ParameterError(f"{kind} id {repeated[0]!r} is given more than once")
-    return function_ids, optimizer_ids
+    return _distinct("function id", function_ids), _distinct("optimizer id", optimizer_ids)
 
 
 def run_optbench(

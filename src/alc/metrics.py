@@ -81,13 +81,11 @@ def confusion_counts(y_true, y_pred, n_classes):
         raise ShapeError(f"label sequences differ in length: {yt.shape} vs {yp.shape}")
     if yt.size and (yt.min() < 0 or yt.max() >= n_classes or yp.min() < 0 or yp.max() >= n_classes):
         raise ParameterError(f"labels must lie in [0, {n_classes})")
-    tp = np.zeros(n_classes, dtype=np.int64)
-    fp = np.zeros(n_classes, dtype=np.int64)
-    fn = np.zeros(n_classes, dtype=np.int64)
-    for c in range(n_classes):
-        tp[c] = int(((yt == c) & (yp == c)).sum())
-        fp[c] = int(((yt != c) & (yp == c)).sum())
-        fn[c] = int(((yt == c) & (yp != c)).sum())
+    # table[t, p]: how many rows of true class t were predicted as class p
+    table = np.bincount(yt * n_classes + yp, minlength=n_classes**2).reshape(n_classes, n_classes)
+    tp = table.diagonal().copy()
+    fp = table.sum(axis=0) - tp
+    fn = table.sum(axis=1) - tp
     tn = yt.size - tp - fp - fn
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
@@ -97,13 +95,9 @@ def accuracy(counts):
 
 
 def _safe_ratio(num, den, what):
-    out = np.zeros(len(num), dtype=np.float64)
-    for c in range(len(num)):
-        if den[c] == 0:
-            warnings.warn(f"{what} undefined for class {c} (zero denominator); using 0")
-        else:
-            out[c] = num[c] / den[c]
-    return out
+    for c in np.flatnonzero(den == 0):
+        warnings.warn(f"{what} undefined for class {c} (zero denominator); using 0")
+    return np.divide(num, den, out=np.zeros(len(num), dtype=np.float64), where=den != 0)
 
 
 def precision_macro(counts):
@@ -117,11 +111,8 @@ def recall_macro(counts):
 def f1_macro(counts):
     p = _safe_ratio(counts.tp, counts.tp + counts.fp, "precision")
     r = _safe_ratio(counts.tp, counts.tp + counts.fn, "recall")
-    f1 = np.zeros_like(p)
-    for c in range(len(p)):
-        if p[c] + r[c] > 0:
-            f1[c] = 2 * p[c] * r[c] / (p[c] + r[c])
-    return float(f1.mean())
+    total = p + r
+    return float(np.divide(2 * p * r, total, out=np.zeros_like(p), where=total > 0).mean())
 
 
 def overfitting_gap(train_acc, val_acc):

@@ -120,7 +120,7 @@ def test_lobule_grid_widths_are_checked_before_any_run(tmp_path, capsys, monkeyp
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
-    monkeypatch.setattr(experiments, "run_crossval", no_training)
+    monkeypatch.setattr(experiments, "_map_tasks", no_training)
     code = run_cli("crossval", "--dataset", "iris", "--lobule-grid", "4,0", "--out-dir", str(tmp_path))
     assert code == 2
     assert capsys.readouterr().err == "error: lobules must be >= 1, got 0\n"
@@ -477,8 +477,9 @@ def test_predict_refuses_model_dimensions_it_cannot_use(tmp_path, capsys, change
     [
         ("ablate", "--dataset", "wine", "--lobules", "2"),
         ("crossval", "--dataset", "iris", "--lobule-grid", "5,100000"),
+        ("crossval", "--dataset", "iris", "--lobule-grid", "4,4"),
     ],
-    ids=["ablate-phase1-only", "lobule-grid-range"],
+    ids=["ablate-phase1-only", "lobule-grid-range", "lobule-grid-repeated"],
 )
 def test_sweep_cells_are_checked_before_the_first_fold(tmp_path, capsys, monkeypatch, argv):
     calls = []

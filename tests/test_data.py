@@ -427,7 +427,7 @@ ROUTED_CSV = "x,y,label\n1,0.5,{}\n2,-1.25,q\n3,2e-3,p\n"
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("label", ["p", '"p"'], ids=["clean", "quoted-label"])
-def test_a_fifo_is_opened_once_and_read_by_the_streaming_reader(tmp_path, label):
+def test_a_fifo_is_opened_once_and_reads_as_the_regular_file(tmp_path, label):
     text = ROUTED_CSV.format(label)
     regular = tmp_path / "rows.csv"
     regular.write_text(text)
@@ -448,7 +448,7 @@ def test_a_plain_csv_with_a_compressed_suffix_reads_as_text(tmp_path, suffix):
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_a_header_over_several_physical_lines_keeps_the_c_reader(tmp_path, newline):
+def test_a_header_over_several_physical_lines_reads_its_rows(tmp_path, newline):
     # a blank line and a quoted header cell holding a line end: np.loadtxt skips three lines
     lines = ["", f'"x{newline}wide",y,label', "1,0.5,p", "2,-1.25,q"]
     path = tmp_path / "wide.csv"
@@ -577,7 +577,7 @@ def test_csv_that_cannot_be_read_as_text_is_named(tmp_path, name, content, messa
         load_features(tmp_path)
 
 
-@pytest.mark.parametrize("label", ["{}", '"{}"'], ids=["c-reader", "streaming-reader"])
+@pytest.mark.parametrize("label", ["{}", '"{}"'], ids=["plain-label", "quoted-label"])
 def test_csv_ingest_peak_memory_is_bounded_by_the_matrix(tmp_path, label):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(20_000, 30))

@@ -120,10 +120,25 @@ def test_crossval_deterministic(iris, tiny_result):
         assert np.array_equal(ma.vitamin, mb.vitamin)
 
 
-def test_crossval_parallel_folds_match_serial(iris, tiny_result):
-    parallel = run_crossval(tiny_config(), dataset=iris, jobs=2)
-    for a, b in zip(tiny_result.folds, parallel.folds):
-        assert a.csv_row()[:-1] == b.csv_row()[:-1]
+def test_crossval_parallel_folds_match_serial(iris):
+    def grid(jobs):
+        return [r for _, _, r in lobule_grid_search(tiny_config(), (4, 8), dataset=iris, jobs=jobs)[1]]
+
+    sweeps = {
+        "crossval": lambda jobs: [run_crossval(tiny_config(), dataset=iris, jobs=jobs)],
+        "ablation": lambda jobs: list(run_ablation(tiny_config(epochs=8), dataset=iris, jobs=jobs).values()),
+        "grid": grid,
+    }
+    for name, sweep in sweeps.items():
+        serial, parallel = sweep(1), sweep(2)
+        assert [r.config for r in serial] == [r.config for r in parallel], name
+        for a, b in zip(serial, parallel):
+            # wall time is the only free-running value
+            assert [fr.csv_row()[:-1] for fr in a.folds] == [fr.csv_row()[:-1] for fr in b.folds], name
+            for ha, hb in zip(a.histories, b.histories, strict=True):
+                assert np.array_equal(ha, hb), name
+            for ma, mb in zip(a.models, b.models, strict=True):
+                assert np.array_equal(ma.cofactor, mb.cofactor) and np.array_equal(ma.vitamin, mb.vitamin), name
 
 
 class RecordingPool:
@@ -155,6 +170,38 @@ def test_map_tasks_clamps_pool_size(monkeypatch, jobs, tasks, cpus, expected):
     RecordingPool.sizes = []
     assert experiments._map_tasks(abs, [-t for t in range(tasks)], jobs) == list(range(tasks))
     assert RecordingPool.sizes == expected
+
+
+def test_a_sweep_runs_all_its_folds_in_one_pool(monkeypatch, iris):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    RecordingPool.sizes = []
+    results = run_ablation(tiny_config(epochs=3), dataset=iris, jobs=2)
+    assert len(results) == len(model.VARIANTS)
+    assert RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize(
+    "sweep, cells, message",
+    [
+        ("ablation", (), "no variants given"),
+        ("ablation", ("full", "phase2-only", "full"), "variant 'full' is given more than once"),
+        ("grid", (), "no lobule counts given"),
+        ("grid", (4, 6, 4), "lobule count 4 is given more than once"),
+    ],
+)
+def test_sweeps_refuse_empty_or_repeated_cells(monkeypatch, sweep, cells, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    # refused before the dataset loads and before any fold runs
+    monkeypatch.setattr(data, "load_dataset", no_work)
+    monkeypatch.setattr(experiments, "_map_tasks", no_work)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        if sweep == "ablation":
+            run_ablation(tiny_config(), variants=cells)
+        else:
+            lobule_grid_search(tiny_config(), cells)
 
 
 def test_importing_the_package_leaves_the_process_pool_unloaded():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,33 @@ def test_zero_division_precision_is_zero_with_warning():
     c = confusion_counts([0, 0], [0, 0], 2)  # class 1 never predicted
     with pytest.warns(UserWarning, match="precision"):
         assert precision_macro(c) == pytest.approx(0.5)  # class0 1.0, class1 0.0
+
+
+def test_each_zero_denominator_class_warns_in_class_order():
+    # predicted counts 2, 0, 2, 0 and true counts 1, 1, 0, 2
+    c = confusion_counts([0, 1, 3, 3], [0, 0, 2, 2], 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert f1_macro(c) == 2 * 0.5 * 1.0 / 1.5 / 4
+    assert [str(w.message) for w in caught] == [
+        "precision undefined for class 1 (zero denominator); using 0",
+        "precision undefined for class 3 (zero denominator); using 0",
+        "recall undefined for class 2 (zero denominator); using 0",
+    ]
+
+
+def test_confusion_counts_match_a_per_class_oracle():
+    rng = np.random.default_rng(8)
+    for n_classes in (2, 3, 7):
+        y = rng.integers(0, n_classes, 40)
+        p = rng.integers(0, n_classes, 40)
+        c = confusion_counts(y, p, n_classes)
+        for k in range(n_classes):
+            assert c.tp[k] == ((y == k) & (p == k)).sum()
+            assert c.fp[k] == ((y != k) & (p == k)).sum()
+            assert c.fn[k] == ((y == k) & (p != k)).sum()
+            assert c.tn[k] == ((y != k) & (p != k)).sum()
+        assert all(a.dtype == np.int64 for a in (c.tp, c.fp, c.tn, c.fn))
 
 
 def test_f1_matches_formula_oracle():
