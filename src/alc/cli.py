@@ -13,6 +13,7 @@ override file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -27,17 +28,19 @@ from .errors import (
     VariantError,
 )
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "lobules": int,
-    "epochs": int,
-    "agents": int,
-    "k_folds": int,
-    "seed": int,
-    "variant": str,
-    "standardize": None,  # parsed as bool
-    "lda_dims": int,
-    "subsample": int,
+# Each experiment setting once: config key -> (flag, type, help). A given flag
+# overrides the file; --no-standardize can only turn standardization off.
+_SETTINGS = {
+    "dataset": ("--dataset", str, f"dataset id ({', '.join((*data.BUNDLED_DATASETS, *fetch.REMOTE_FILES))})"),
+    "seed": ("--seed", int, "experiment seed"),
+    "lobules": ("--lobules", int, "internal width of the classifier"),
+    "epochs": ("--epochs", int, "optimizer epochs"),
+    "agents": ("--agents", int, "optimizer population size"),
+    "k_folds": ("--folds", int, "cross-validation fold count"),
+    "variant": ("--variant", str, "model variant to train"),
+    "lda_dims": ("--lda-dims", int, "project to this many discriminant axes"),
+    "standardize": ("--no-standardize", bool, None),
+    "subsample": ("--subsample", int, "stratified subsample size before splitting"),
 }
 
 # Exit code per error class; any other AlcError exits 1.
@@ -74,48 +77,42 @@ def read_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if _CONFIG_KEYS[key] is None:
-            values[key] = _parse_bool(raw, key)
-        else:
-            try:
-                values[key] = _CONFIG_KEYS[key](raw)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value {raw!r} for {key}") from None
+        kind = _SETTINGS[key][1]
+        try:
+            values[key] = _parse_bool(raw, key) if kind is bool else kind(raw)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value {raw!r} for {key}") from None
     return values
 
 
 def _build_experiment_config(args):
-    file_values = read_config_file(args.config) if args.config else {}
-    dataset_id = args.dataset or file_values.get("dataset")
+    """The ``--config`` file's settings, read once, with the given flags over them."""
+    settings = read_config_file(args.config) if args.config else {}
+    for key, (flag, kind, _) in _SETTINGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest for the flag
+        if kind is bool:
+            value = False if value else None
+        if value not in (None, ""):
+            settings[key] = value
+    if args.full:
+        settings["subsample"] = None
+    if args.command == "ablate" and "variant" in settings:
+        raise ConfigError("ablate runs every variant; remove --variant and any 'variant =' config line")
+    dataset_id = settings.pop("dataset", None)
     if dataset_id is None:
         raise ConfigError("no dataset given (use --dataset or a config file)")
-    overrides = {key: value for key, value in file_values.items() if key != "dataset"}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, "folds" if key == "k_folds" else key, None)
-        if key != "dataset" and value is not None:
-            overrides[key] = value
-    if getattr(args, "no_standardize", False):
-        overrides["standardize"] = False
-    if getattr(args, "full", False):
-        overrides["subsample"] = None
-    return experiments.default_config(dataset_id, **overrides)
+    return experiments.default_config(dataset_id, **settings)
 
 
 def _add_common_experiment_flags(parser):
-    dataset_ids = ", ".join((*data.BUNDLED_DATASETS, *fetch.REMOTE_FILES))
-    parser.add_argument("--dataset", help=f"dataset id ({dataset_ids})")
     parser.add_argument("--config", help="key-value config file; flags override it")
-    parser.add_argument("--seed", type=int, help="experiment seed")
-    parser.add_argument("--lobules", type=int, help="internal width of the classifier")
-    parser.add_argument("--epochs", type=int, help="optimizer epochs")
-    parser.add_argument("--agents", type=int, help="optimizer population size")
-    parser.add_argument("--folds", type=int, help="cross-validation fold count")
-    parser.add_argument("--variant", choices=model.VARIANTS, help="model variant to train")
-    parser.add_argument("--lda-dims", dest="lda_dims", type=int, help="project to this many discriminant axes")
-    parser.add_argument("--no-standardize", dest="no_standardize", action="store_true")
-    parser.add_argument("--subsample", type=int, help="stratified subsample size before splitting")
+    for key, (flag, kind, text) in _SETTINGS.items():
+        if kind is bool:
+            parser.add_argument(flag, action="store_true")
+        else:
+            parser.add_argument(flag, type=kind, choices=model.VARIANTS if key == "variant" else None, help=text)
     parser.add_argument("--full", action="store_true", help="disable the default subsample")
     parser.add_argument("--out-dir", dest="out_dir", default="out", help="report directory root")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -126,6 +123,7 @@ def _add_common_experiment_flags(parser):
 def _report_dir(args, name):
     """``<--out-dir>/<name>``, made now so that a bad path fails before any training."""
     path = Path(args.out_dir) / name
+    args.made = [p for p in (path, *path.parents) if not p.exists()]  # deepest first, for main to remove
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -165,8 +163,6 @@ def _cmd_crossval(args):
 
 
 def _cmd_ablate(args):
-    if args.variant is not None or (args.config and "variant" in read_config_file(args.config)):
-        raise ConfigError("ablate runs every variant; remove --variant and any 'variant =' config line")
     cfg = _build_experiment_config(args)
     dataset = data.load_dataset(cfg.dataset_id, data_dir=args.data_dir)
     out_dir = _report_dir(args, f"ablation_{cfg.dataset_id}")
@@ -309,6 +305,10 @@ def main(argv=None):
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except AlcError as exc:
+        # a refused command leaves none of the directories it made, unless one holds a file
+        for made in getattr(args, "made", ()):
+            with contextlib.suppress(OSError):
+                made.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), 1)
 

@@ -6,7 +6,9 @@ through named substreams, so repeating a run reproduces every number; folds
 are independent of each other and may execute in parallel without changing
 results. Cross-validation, the ablation and the lobule grid each run a list of
 cells through :func:`_run_cells`: every cell checked, then one split and one
-task list of ``(cell, fold)`` pairs in one process pool.
+task list of ``(cell, fold)`` pairs in one process pool. The optimizer
+benchmark likewise builds and checks every cell's objective and config before
+one task list of ``(optimizer, function)`` cells runs.
 
 Per fold the pipeline is: fit preprocessing on the training rows only,
 transform both sides, train the classifier by minimizing training log loss
@@ -379,24 +381,11 @@ class OptbenchResult:
 
 
 def _optbench_cell(args):
-    fid, optimizer_id, runs, epochs, agents, seed, transform = args
-    info = cec2019.suite_info(fid)
-    objective = cec2019.SuiteObjective(fid, transform)
-    cfg = OptimizerConfig(
-        epochs=epochs, agents=agents, dim=info.dim, lower=info.lower, upper=info.upper, seed=seed
-    )
+    optimizer_id, objective, cfg, runs = args
     stats = multi_run(optimizer_id, objective, cfg, runs)
-    in_bounds = all(
-        bool(np.all((r.best_x >= info.lower) & (r.best_x <= info.upper))) for r in stats.runs
-    )
-    row = {
-        "function": fid,
-        "optimizer": optimizer_id,
-        "mean": stats.mean,
-        "std": stats.std,
-        "min": stats.min,
-        "best_in_bounds": in_bounds,
-    }
+    in_bounds = all(bool(np.all((r.best_x >= cfg.lower) & (r.best_x <= cfg.upper))) for r in stats.runs)
+    row = dict(function=objective.fid, optimizer=optimizer_id, mean=stats.mean, std=stats.std,
+               min=stats.min, best_in_bounds=in_bounds)
     return row, [r.history for r in stats.runs]
 
 
@@ -425,22 +414,23 @@ def run_optbench(
     jobs=1,
     transforms=None,
 ):
-    """Benchmark optimizers over the suite; same derived seeds per cell."""
+    """Benchmark optimizers over the suite; same derived seeds per cell, all checked first."""
     function_ids, optimizer_ids = optbench_ids(function_ids, optimizer_ids)
     transforms = transforms or {}
-    tasks = [
-        (fid, opt, runs, epochs, agents, seed, transforms.get(fid))
-        for fid in function_ids
-        for opt in optimizer_ids
-    ]
+    cells = []
+    for fid in function_ids:
+        info = cec2019.suite_info(fid)
+        objective = cec2019.SuiteObjective(fid, transforms.get(fid))  # a bad transform is named before a bad setting
+        cells.append((objective, OptimizerConfig(epochs, agents, info.dim, info.lower, info.upper, seed)))
+    if runs < 1:
+        raise ParameterError(f"runs must be >= 1, got {runs}")
+    tasks = [(opt, objective, cfg, runs) for objective, cfg in cells for opt in optimizer_ids]
     outcomes = _map_tasks(_optbench_cell, tasks, jobs)
-    stats_rows = [o[0] for o in outcomes]
-    histories = {(t[0], t[1]): o[1] for t, o in zip(tasks, outcomes)}
+    stats_rows = [row for row, _ in outcomes]
+    histories = {(row["function"], row["optimizer"]): history for row, history in outcomes}
     for row in stats_rows:
         if not row["best_in_bounds"]:
-            warnings.warn(
-                f"{row['optimizer']} best position left the init box on {row['function']}"
-            )
+            warnings.warn(f"{row['optimizer']} best position left the init box on {row['function']}")
     return OptbenchResult(stats=stats_rows, ranks=build_rank_table(stats_rows), histories=histories)
 
 

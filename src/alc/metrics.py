@@ -4,7 +4,7 @@ Multi-class loss is categorical cross-entropy; with two classes it reduces to
 the familiar binary log-loss. Precision, recall, and F1 are macro-averaged
 from one-vs-rest confusion counts because class balance differs a lot between
 the bundled datasets. Classes whose precision or recall denominator is zero
-contribute 0 and trigger a warning.
+contribute 0 and trigger one warning per :class:`ConfusionCounts`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,14 @@ class ConfusionCounts:
     def n(self):
         return int(self.tp[0] + self.fp[0] + self.tn[0] + self.fn[0])
 
+    @cached_property
+    def class_precision(self):  # per class, computed and warned about once per counts
+        return _safe_ratio(self.tp, self.tp + self.fp, "precision")
+
+    @cached_property
+    def class_recall(self):
+        return _safe_ratio(self.tp, self.tp + self.fn, "recall")
+
 
 def confusion_counts(y_true, y_pred, n_classes):
     yt = np.asarray(y_true, dtype=np.int64)
@@ -101,16 +110,15 @@ def _safe_ratio(num, den, what):
 
 
 def precision_macro(counts):
-    return float(_safe_ratio(counts.tp, counts.tp + counts.fp, "precision").mean())
+    return float(counts.class_precision.mean())
 
 
 def recall_macro(counts):
-    return float(_safe_ratio(counts.tp, counts.tp + counts.fn, "recall").mean())
+    return float(counts.class_recall.mean())
 
 
 def f1_macro(counts):
-    p = _safe_ratio(counts.tp, counts.tp + counts.fp, "precision")
-    r = _safe_ratio(counts.tp, counts.tp + counts.fn, "recall")
+    p, r = counts.class_precision, counts.class_recall
     total = p + r
     return float(np.divide(2 * p * r, total, out=np.zeros_like(p), where=total > 0).mean())
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -490,6 +491,68 @@ def test_sweep_cells_are_checked_before_the_first_fold(tmp_path, capsys, monkeyp
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crossval", "--dataset", "iris", "--lobule-grid", "4,4"),
+        ("ablate", "--dataset", "wine", "--lobules", "2"),
+        ("optbench", "--functions", "F4", "--epochs", "0"),
+    ],
+    ids=["lobule-grid-repeated", "ablate-phase1-only", "optbench-epochs"],
+)
+def test_a_refused_command_leaves_no_directory_it_made(tmp_path, capsys, argv):
+    out = tmp_path / "fresh" / "out"
+    assert run_cli(*argv, "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_command_keeps_a_report_directory_that_was_there(tmp_path, capsys):
+    reports = tmp_path / "crossval_iris"
+    (reports / "empty").mkdir(parents=True)
+    (reports / "folds.csv").write_text("kept\n")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    assert run_cli("crossval", "--dataset", "iris", "--lobule-grid", "4,4", "--out-dir", str(tmp_path)) == 2
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    assert (reports / "folds.csv").read_text() == "kept\n"
+    # an empty --out-dir that was there stays; only the report directory made inside it goes
+    assert run_cli("crossval", "--dataset", "iris", "--lobule-grid", "4,4", "--out-dir", str(reports / "empty")) == 2
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_ablate_reads_a_config_pipe_like_a_config_file(tmp_path, capsys):
+    text = "dataset = iris\nepochs = 2\nagents = 2\nk_folds = 3\n"
+    regular = tmp_path / "exp.cfg"
+    regular.write_text(text)
+    pipe = tmp_path / "exp.fifo"
+    os.mkfifo(pipe)
+    done = threading.Event()
+
+    def feed():
+        # the first reader gets the settings and any later one an empty pipe, as with `<(...)`
+        payload = text
+        while not done.is_set():
+            with open(pipe, "w") as fh:
+                fh.write(payload)
+            payload = ""
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        assert run_cli("ablate", "--config", str(pipe), "--out-dir", str(tmp_path / "piped")) == 0
+    finally:
+        done.set()
+        release = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # lets a writer waiting for a reader finish
+        writer.join(10)
+        os.close(release)
+    assert not writer.is_alive()
+    piped = capsys.readouterr().out.splitlines()
+    assert run_cli("ablate", "--config", str(regular), "--out-dir", str(tmp_path / "plain")) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert piped[:-1] == plain[:-1] and len(plain) == 7  # the last line names the report directory
+
+
 @pytest.mark.parametrize("kind", ["undecodable", "directory"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
     cfg_file = tmp_path / "exp.cfg"
@@ -588,6 +651,29 @@ def test_optbench_rejects_empty_repeated_or_unknown_ids(tmp_path, capsys, monkey
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "optbench").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--epochs", "0", "epochs must be >= 1, got 0"),
+        ("--agents", "1", "agents must be >= 2, got 1"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--runs", "0", "runs must be >= 1, got 0"),
+    ],
+)
+def test_optbench_settings_are_checked_before_any_cell_runs(tmp_path, capsys, monkeypatch, flag, value, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiments, "_map_tasks", no_work)
+    # the bad value comes last: argparse keeps the last of a repeated flag
+    code = run_cli("optbench", "--functions", "F4,F10", "--runs", "1", "--epochs", "2", "--agents", "2",
+                   "--jobs", "2", "--out-dir", str(tmp_path), flag, value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "optbench").exists()
 
 

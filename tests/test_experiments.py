@@ -204,6 +204,17 @@ def test_sweeps_refuse_empty_or_repeated_cells(monkeypatch, sweep, cells, messag
             lobule_grid_search(tiny_config(), cells)
 
 
+def test_score_warns_once_per_zero_denominator_class():
+    # class 1 is never predicted: one precision warning, though f1 reads that ratio too
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scores = experiments._score(np.array([0, 1, 2, 2]), np.eye(3)[[0, 0, 0, 2]], 3)
+    assert [str(w.message) for w in caught] == [
+        "precision undefined for class 1 (zero denominator); using 0"
+    ]
+    assert scores[1:] == (0.5, 4 / 9, 0.5, 0.38888888888888884)
+
+
 def test_importing_the_package_leaves_the_process_pool_unloaded():
     # A fresh interpreter: this one has long since loaded the pool for other tests.
     src = str(Path(experiments.__file__).parents[1])
@@ -347,6 +358,30 @@ def test_optbench_rejects_empty_or_repeated_ids(function_ids, optimizer_ids, mes
     # a repeated id would run its cells twice and rank them as one function of extra entries
     with pytest.raises(ParameterError, match=f"^{message}$"):
         run_optbench(function_ids=function_ids, optimizer_ids=optimizer_ids, runs=1, epochs=2, agents=2)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"agents": 1}, "agents must be >= 2, got 1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"runs": 0}, "runs must be >= 1, got 0"),
+    ],
+)
+def test_optbench_settings_are_checked_before_any_cell_runs(monkeypatch, setting, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiments, "_map_tasks", no_work)
+    kwargs = dict(function_ids=("F4", "F10"), runs=1, epochs=2, agents=2, seed=1, jobs=2)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        run_optbench(**{**kwargs, **setting})
+
+
+def test_optbench_runs_is_checked_after_the_cell_settings():
+    with pytest.raises(ParameterError, match="^epochs must be >= 1, got 0$"):
+        run_optbench(function_ids=("F4",), runs=0, epochs=0, agents=2)
 
 
 def test_rank_table_single_optimizer():
