@@ -26,10 +26,17 @@ rows, so the two paths agree bit for bit. That rests on a few rules:
 * a rotation is one matrix-vector product per row,
   ``matmul(rotation, z[:, :, None])``, since ``z @ rotation.T`` rounds
   differently;
-* F1 sums each row's compacted out-of-band penalties and then adds its two
-  edge terms, in that order; a row with no grid value out of band skips the
-  compaction and starts from the empty sum, 0.0. F3 adds its pair terms in a
-  fixed pair order with the sequential ``np.add.accumulate``;
+* F1 compacts the block's out-of-band grid values once, in row-major order,
+  squares only those, and sums each row's contiguous slice of them with
+  ``np.add.reduce``: the values and order of the row's own compaction
+  (``np.add.reduceat`` adds in another order). A row with nothing out of
+  band keeps the empty sum, 0.0. The left and then the right edge terms are
+  added to all rows at once. F3 adds its pair terms in a fixed pair order
+  with the sequential ``np.add.accumulate``;
+* F7 computes its middle arm on the whole block and its out-of-range arm
+  only on the compacted coordinates where ``|z| <= 500`` fails, scattered
+  back before the row sum; an elementwise result does not depend on its
+  neighbours, so computing fewer of them keeps the bits;
 * F9 and F10 finish each row in Python floats (``**``, ``math.exp``,
   ``math.sqrt``), whose results differ from numpy's on a few values.
 
@@ -37,7 +44,9 @@ A row with a NaN coordinate scores NaN in every function, so the optimizer's
 finite check sees the bad agent. Each branch test is written so that a NaN
 fails it and lands in the sum: F1's grid value is out of band unless
 ``|p| <= 1``, and an edge term is skipped only when ``edge >= bound``; an F3
-pair term is ``1e20`` only when ``u <= 1e-10``, so a NaN ``u`` gives a NaN term.
+pair term is ``1e20`` only when ``u <= 1e-10``, so a NaN ``u`` gives a NaN term;
+an F7 coordinate takes the out-of-range arm unless ``|z| <= 500``, so a NaN row
+stays NaN (the sign bit of that NaN is not kept).
 """
 
 from __future__ import annotations
@@ -135,25 +144,36 @@ def _chebyshev(x, transform):
     for c in cols[1:]:
         px *= ys
         px += c
-    # (1 - |p|) ** 2 on the grid columns, in place (numpy computes ``** 2`` as
-    # a square, t * t); the edge columns stay as they are. A NaN is out of band.
+    # a grid value is out of band unless |p| <= 1, so a NaN is out of band; the
+    # out-of-band values are compacted once, in row-major order, and only they
+    # are squared (numpy computes ``** 2`` as a square, t * t)
     grid = px[:, :-2]
     np.abs(grid, out=grid)
-    keep = np.less_equal(grid, 1.0)
-    np.logical_not(keep, out=keep)
-    np.subtract(1.0, grid, out=grid)
-    grid *= grid
-    # each row sums its own compacted values (a masked full-row sum adds in
-    # another order); a row with nothing out of band has the empty sum, 0.0
-    penalty = [
-        float(np.add.reduce(row[mask])) if out else 0.0
-        for row, mask, out in zip(grid, keep, np.logical_or.reduce(keep, axis=1).tolist())
-    ]
-    for k, edges in enumerate(px[:, -2:].tolist()):
-        for edge in edges:
-            if not edge >= bound:  # so a NaN edge adds its NaN square
-                penalty[k] += edge * edge
-    return np.array(penalty)
+    out = np.less_equal(grid, 1.0)
+    np.logical_not(out, out=out)
+    gaps = grid[out]
+    np.subtract(1.0, gaps, out=gaps)
+    gaps *= gaps
+    # each row with something out of band sums its own contiguous slice: the
+    # values and order of the row compacted alone, so the same pairwise sum
+    # (``np.add.reduceat`` adds in another order); the other rows keep 0.0
+    penalty = np.zeros(len(x))
+    if gaps.size:
+        counts = np.add.reduce(out, axis=1, dtype=np.intp)
+        rows = counts.nonzero()[0]
+        ends = np.add.accumulate(counts[rows]).tolist()
+        for k, start, end in zip(rows.tolist(), [0, *ends], ends):
+            penalty[k] = np.add.reduce(gaps[start:end])
+    # then the left edge's square and the right one's, each replaced by 0.0 (a
+    # no-op on a sum of squares) where edge >= bound, so a NaN edge adds its
+    # NaN square; like Python floats, these steps overflow to inf without a warning
+    edges = px[:, -2:]
+    with np.errstate(over="ignore"):
+        squares = edges * edges
+        squares[edges >= bound] = 0.0
+        penalty += squares[:, 0]
+        penalty += squares[:, 1]
+    return penalty
 
 
 @lru_cache(maxsize=8)
@@ -193,9 +213,17 @@ def _rastrigin(x, transform):
     return (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=-1)
 
 
+@lru_cache(maxsize=8)
+def _griewank_denominators(d):
+    """F5's ``sqrt(1..d)``, built once per dimension and returned read-only."""
+    denom = np.sqrt(np.arange(1.0, d + 1.0))
+    denom.setflags(write=False)
+    return denom
+
+
 def _griewank(x, transform):
     z = _shrunk(x, 600.0 / 100.0, transform)
-    denom = np.sqrt(np.arange(1.0, z.shape[1] + 1.0))
+    denom = _griewank_denominators(z.shape[1])
     return (z * z).sum(axis=-1) / 4000.0 - np.prod(np.cos(z / denom), axis=-1) + 1.0
 
 
@@ -219,14 +247,18 @@ def _modified_schwefel(x, transform):
     d = z.shape[1]
     abs_z = np.abs(z)
     with np.errstate(invalid="ignore"):
-        abs_rem = np.mod(abs_z, 500.0)
-        mid = -z * np.sin(np.sqrt(abs_z))
-        high_rem = 500.0 - np.mod(z, 500.0)
-        high = -high_rem * np.sin(np.sqrt(np.abs(high_rem))) + (z - 500.0) ** 2 / (10000.0 * d)
-        low_rem = -500.0 + abs_rem
-        low = -low_rem * np.sin(np.sqrt(np.abs(500.0 - abs_rem))) + (z + 500.0) ** 2 / (10000.0 * d)
-    total = np.where(abs_z <= 500.0, mid, np.where(z > 500.0, high, low))
-    return total.sum(axis=-1) + 4.189828872724338e2 * d
+        terms = -z * np.sin(np.sqrt(abs_z))
+        # the out-of-range arms only where |z| <= 500 fails, a NaN included. Both
+        # fold |z| back to rem = 500 - (|z| mod 500) and add the squared overshoot
+        # past +-500; the z < -500 arm's -500 + (|z| mod 500) is exactly -rem, so
+        # one expression rounds as either arm does
+        beyond = np.logical_not(np.less_equal(abs_z, 500.0))
+        far = z[beyond]
+        if far.size:
+            rem = 500.0 - np.mod(np.abs(far), 500.0)
+            overshoot = far - np.copysign(500.0, far)
+            terms[beyond] = overshoot**2 / (10000.0 * d) - np.copysign(rem, far) * np.sin(np.sqrt(rem))
+    return terms.sum(axis=-1) + 4.189828872724338e2 * d
 
 
 def _expanded_schaffer6(x, transform):

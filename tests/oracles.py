@@ -61,3 +61,31 @@ def chebyshev_oracle(x):
                 penalty += edge * edge
         out.append(penalty + 1.0)
     return np.array(out)
+
+
+def schwefel_where_oracle(x, shift=None, rotation=None):
+    """F7 with its +1 offset, every arm on every coordinate: the bit-exact reference for ``cec2019`` F7.
+
+    The shrink is ``x * 10``, or ``rotation @ ((row - shift) * 10)`` one row
+    at a time with a transform. All three arms are computed for the whole
+    block; ``np.where`` keeps the middle arm where ``|z| <= 500``, else the
+    ``z > 500`` arm where ``z > 500``, else (a NaN included) the ``z < -500``
+    arm, and the terms are summed along each row.
+    """
+    x = np.asarray(x, float)
+    if rotation is None:
+        z = x * 10.0
+    else:
+        z = np.array([np.matmul(rotation, (row - shift) * 10.0) for row in x]).reshape(x.shape)
+    z = z + 4.209687462275036e2
+    d = x.shape[1]
+    abs_z = np.abs(z)
+    with np.errstate(invalid="ignore", over="ignore"):
+        abs_rem = np.mod(abs_z, 500.0)
+        mid = -z * np.sin(np.sqrt(abs_z))
+        high_rem = 500.0 - np.mod(z, 500.0)
+        high = -high_rem * np.sin(np.sqrt(np.abs(high_rem))) + (z - 500.0) ** 2 / (10000.0 * d)
+        low_rem = -500.0 + abs_rem
+        low = -low_rem * np.sin(np.sqrt(np.abs(500.0 - abs_rem))) + (z + 500.0) ** 2 / (10000.0 * d)
+        total = np.where(abs_z <= 500.0, mid, np.where(z > 500.0, high, low))
+        return total.sum(axis=-1) + 4.189828872724338e2 * d + 1.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from alc.cec2019 import (
 from alc.errors import AlcError, ParameterError, ShapeError
 from alc.experiments import run_optbench
 from alc.optimizers import OptimizerConfig, optimize_fox, optimize_ifox
-from oracles import chebyshev_oracle
+from oracles import chebyshev_oracle, schwefel_where_oracle
 from test_golden import seeded_transform
 
 # Minimizers under the suite's zero-shift, identity-rotation default.
@@ -236,6 +237,108 @@ def chebyshev_blocks(draw):
 @given(chebyshev_blocks())
 def test_f1_population_is_bit_equal_to_the_per_row_reference(x):
     assert SuiteObjective("F1").population(x).tobytes() == chebyshev_oracle(x).tobytes()
+
+
+SCHWEFEL_SHIFT = 4.209687462275036e2  # z = shrink(x) + this; the arms change at |z| = 500
+SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def schwefel_blocks(draw):
+    """1-40 rows of F7 coordinates whose ``z`` lies inside [-500, 500], above 500 or below -500.
+
+    Each ``z`` is drawn first (some exactly at +-500, the others outside up
+    to 1e6 past it) and mapped back through the shrink, with a seeded
+    transform half the time; then none, about 5% or about 20% of the entries
+    become +-0, NaN or +-inf.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 40)), suite_info("F7").dim)
+    region = rng.choice(["inside", "above", "below", "edge"], size=shape, p=draw(st.sampled_from(
+        [(1.0, 0.0, 0.0, 0.0), (0.7, 0.1, 0.1, 0.1), (0.2, 0.35, 0.35, 0.1), (0.0, 0.5, 0.5, 0.0)])))
+    past = 500.0 + rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-3, 7, shape)
+    z = np.select([region == "inside", region == "above", region == "below"],
+                  [rng.uniform(-500.0, 500.0, shape), past, -past], rng.choice([-500.0, 500.0], shape))
+    transform = seeded_transform(rng, shape[1]) if draw(st.booleans()) else None
+    x = (z - SCHWEFEL_SHIFT) / 10.0
+    if transform is not None:
+        x = transform.shift + x @ transform.rotation  # rotation.T @ row, the inverse rotation
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.2]))
+    x[special] = rng.choice(SPECIALS, special.sum())
+    return SuiteObjective("F7", transform), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(schwefel_blocks())
+def test_f7_population_is_bit_equal_to_the_all_arms_reference(problem):
+    obj, x = problem
+    t = obj.transform
+    with np.errstate(invalid="ignore"):  # a rotation turns an infinite coordinate into NaNs
+        expected = schwefel_where_oracle(x, None if t is None else t.shift, None if t is None else t.rotation)
+        values = obj.population(x)
+    finite = np.isfinite(x).all(axis=1)
+    assert values[finite].tobytes() == expected[finite].tobytes()
+    # a row with a NaN or an infinite coordinate is NaN; the sign bit of its NaN may differ
+    assert np.isnan(values[~finite]).all() and np.isnan(expected[~finite]).all()
+
+
+WARNINGS = {
+    "F1-inf": ("F1", math.inf, "invalid value encountered in multiply"),
+    "F1-minus-inf": ("F1", -math.inf, "invalid value encountered in multiply"),
+    "F1-huge": ("F1", 1e300, "overflow"),
+    "F7-huge": ("F7", 1e300, "overflow"),
+    "F7-minus-huge": ("F7", -1e300, "overflow"),
+    "F1-nan": ("F1", math.nan, None),
+    "F7-nan": ("F7", math.nan, None),
+    "F7-inf": ("F7", math.inf, None),
+    "F7-minus-inf": ("F7", -math.inf, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARNINGS))
+def test_f1_and_f7_warn_only_where_numpy_flags_the_grid_or_arms(case):
+    fid, value, message = WARNINGS[case]
+    x = np.array(OPTIMA[fid], dtype=float)
+    x[suite_info(fid).dim // 2] = value
+    for score in (lambda: evaluate(fid, x), lambda: SuiteObjective(fid).population(np.stack([x, x]))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is None:
+                assert np.isnan(score()).all()
+            else:
+                with pytest.raises(RuntimeWarning, match=message):
+                    score()
+
+
+def test_an_f1_edge_square_overflows_to_inf_without_a_warning():
+    # CHEBYSHEV_OPT is T8, so the grid gaps stay below 5e152 and their squares sum to under 1e308, but
+    # the edges, -5e152 * T8(+-1.2), square past the largest double: they add as Python floats would,
+    # to inf and without a warning
+    x = -5e152 * np.array(CHEBYSHEV_OPT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate("F1", x) == math.inf
+        assert SuiteObjective("F1").population(np.stack([x, x])).tolist() == [math.inf, math.inf]
+
+
+def chebyshev_edge_bound(d):
+    """F1's edge bound, T_{d-1}(1.2) by the three-term recurrence, as the suite computes it."""
+    lo, hi = 1.0, 1.2
+    for _ in range(d - 2):
+        lo, hi = hi, 2.4 * hi - lo
+    return hi
+
+
+@pytest.mark.parametrize("edge", ["at", "just-below", "negated"])
+def test_an_f1_edge_adds_its_square_only_below_the_bound(edge):
+    # a constant polynomial puts both edges exactly on its value
+    bound = chebyshev_edge_bound(9)
+    value = {"at": bound, "just-below": np.nextafter(bound, 0.0), "negated": -bound}[edge]
+    x = np.zeros((3, 9))
+    x[:, -1] = value
+    expected = chebyshev_oracle(x)
+    assert SuiteObjective("F1").population(x).tobytes() == expected.tobytes()
+    assert evaluate("F1", x[0]) == expected[0]
 
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
